@@ -1,8 +1,11 @@
 #include "src/pmem/pm_space.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 
 #include "src/analyze/sanitizer.h"
 
@@ -13,28 +16,45 @@ namespace {
 // execution window on the device timeline.
 enum class ReqState { kDropped, kPartial, kDurable };
 
+// mmap rejects a zero-length mapping; a zero-size space maps one byte (one
+// page) so current_ is never null.
+std::size_t MappedLength(std::uint64_t size) {
+  return static_cast<std::size_t>(std::max<std::uint64_t>(size, 1));
+}
+
+std::uint8_t* MapZeroedImage(std::uint64_t size) {
+  // MAP_NORESERVE: the image is sparse, so a multi-GB space must not be
+  // refused for swap it will never use.
+  void* p = mmap(nullptr, MappedLength(size), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return static_cast<std::uint8_t*>(p);
+}
+
 }  // namespace
 
 PmSpace::PmSpace(const PmSpaceOptions& options)
     : options_(options),
       interleave_(options.num_devices, options.stripe),
-      current_(options.size, 0),
+      size_(options.size),
+      current_(MapZeroedImage(options.size)),
       device_logs_(static_cast<size_t>(options.num_devices)) {}
 
+PmSpace::~PmSpace() { munmap(current_, MappedLength(size_)); }
+
 void PmSpace::CheckRange(PmAddr addr, std::uint64_t len) const {
-  assert(addr + len <= current_.size() && addr + len >= addr);
+  assert(addr + len <= size_ && addr + len >= addr);
   (void)addr;
   (void)len;
 }
 
 void PmSpace::SnapshotPendingLine(PmAddr line_base) {
-  auto it = pending_.find(line_base);
-  if (it != pending_.end()) {
-    return;  // pre-image already captured since the last persist
+  auto [it, inserted] = pending_.try_emplace(line_base);
+  if (inserted) {  // else: pre-image already captured since the last persist
+    std::memcpy(it->second.data(), current_ + line_base, kCacheLineSize);
   }
-  std::vector<std::uint8_t> old(kCacheLineSize);
-  std::memcpy(old.data(), current_.data() + line_base, kCacheLineSize);
-  pending_.emplace(line_base, std::move(old));
 }
 
 void PmSpace::ObserveRange(const AddrRange& range) {
@@ -69,7 +89,7 @@ void PmSpace::CpuWrite(PmAddr addr, std::span<const std::uint8_t> data) {
       SnapshotPendingLine(line);
     }
   }
-  std::memcpy(current_.data() + addr, data.data(), data.size());
+  std::memcpy(current_ + addr, data.data(), data.size());
 }
 
 void PmSpace::CpuRead(PmAddr addr, std::span<std::uint8_t> out) {
@@ -77,7 +97,7 @@ void PmSpace::CpuRead(PmAddr addr, std::span<std::uint8_t> out) {
   // Observation ordering: a load that returns an NDP request's write is
   // ordered after that request's completion.
   ObserveRange(AddrRange{addr, addr + out.size()});
-  std::memcpy(out.data(), current_.data() + addr, out.size());
+  std::memcpy(out.data(), current_ + addr, out.size());
 }
 
 void PmSpace::CpuPersist(PmAddr addr, std::uint64_t size) {
@@ -129,7 +149,7 @@ void PmSpace::NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,
   CheckRange(addr, data.size());
   assert(device < device_logs_.size());
   if (!options_.retain_crash_state) {
-    std::memcpy(current_.data() + addr, data.data(), data.size());
+    std::memcpy(current_ + addr, data.data(), data.size());
     return;
   }
   // The runtime persists CPU pending lines before issuing any NDP request
@@ -173,10 +193,9 @@ void PmSpace::NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,
     LineEvent ev;
     ev.addr = cur;
     ev.len = static_cast<std::uint8_t>(n);
-    ev.old_bytes.assign(current_.begin() + static_cast<std::ptrdiff_t>(cur),
-                        current_.begin() + static_cast<std::ptrdiff_t>(cur + n));
+    ev.old_bytes.assign(current_ + cur, current_ + cur + n);
     rec->lines.push_back(std::move(ev));
-    std::memcpy(current_.data() + cur, data.data() + off, n);
+    std::memcpy(current_ + cur, data.data() + off, n);
     off += n;
   }
 }
@@ -332,7 +351,7 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
       ++report.cpu_lines_survived;
       survivor_lines.push_back(line);
     } else {
-      std::memcpy(current_.data() + line, old_bytes.data(), old_bytes.size());
+      std::memcpy(current_ + line, old_bytes.data(), old_bytes.size());
       ++report.cpu_lines_dropped;
     }
   }
@@ -483,7 +502,7 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
       }
       for (std::size_t j = rec.lines.size(); j > keep; --j) {
         const LineEvent& ev = rec.lines[j - 1];
-        std::memcpy(current_.data() + ev.addr, ev.old_bytes.data(), ev.len);
+        std::memcpy(current_ + ev.addr, ev.old_bytes.data(), ev.len);
       }
     }
     log.records.clear();

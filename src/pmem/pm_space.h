@@ -34,6 +34,7 @@
 #ifndef SRC_PMEM_PM_SPACE_H_
 #define SRC_PMEM_PM_SPACE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -105,9 +106,13 @@ struct PmSpaceOptions {
 
 class PmSpace {
  public:
+  // Throws std::bad_alloc when the image cannot be mapped.
   explicit PmSpace(const PmSpaceOptions& options);
+  ~PmSpace();
+  PmSpace(const PmSpace&) = delete;
+  PmSpace& operator=(const PmSpace&) = delete;
 
-  std::uint64_t size() const { return current_.size(); }
+  std::uint64_t size() const { return size_; }
   const InterleaveMap& interleave() const { return interleave_; }
   bool retain_crash_state() const { return options_.retain_crash_state; }
 
@@ -134,7 +139,7 @@ class PmSpace {
   // read set explicitly before execution.
   void NdpRead(PmAddr addr, std::span<std::uint8_t> out) const {
     CheckRange(addr, out.size());
-    std::memcpy(out.data(), current_.data() + addr, out.size());
+    std::memcpy(out.data(), current_ + addr, out.size());
   }
 
   // Declares that `request_seq` on `device` reads `range`. Guards crash
@@ -232,9 +237,12 @@ class PmSpace {
 
   PmSpaceOptions options_;
   InterleaveMap interleave_;
-  std::vector<std::uint8_t> current_;
+  std::uint64_t size_;
+  // The PM image: a private anonymous mapping the kernel zero-fills on first
+  // touch, so resident memory follows the PM a run touches, not size_.
+  std::uint8_t* current_;
   // line base address -> durable pre-image of the 64-byte line
-  std::unordered_map<PmAddr, std::vector<std::uint8_t>> pending_;
+  std::unordered_map<PmAddr, std::array<std::uint8_t, kCacheLineSize>> pending_;
   // line base -> latest in-flight request reading it (eviction ordering)
   std::unordered_map<PmAddr, std::pair<DeviceId, std::uint64_t>> read_guards_;
   std::vector<DeviceLog> device_logs_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -355,6 +358,79 @@ TEST(PmSpaceTest, FastPathWithoutCrashState) {
   space.CpuRead(64, out);
   EXPECT_EQ(out[0], 3);
   EXPECT_EQ(space.pending_line_count(), 0u);
+}
+
+// ---- PmSpace: lazily zero-filled image --------------------------------------
+
+constexpr std::uint64_t kFourGb = 4ull << 30;
+
+TEST(PmSpaceTest, MultiGbSpaceReadsZeroUntouched) {
+  PmSpaceOptions o;
+  o.size = kFourGb;
+  PmSpace space(o);
+  EXPECT_EQ(space.size(), kFourGb);
+  const std::vector<std::uint8_t> zeros(kCacheLineSize, 0);
+  const PmAddr probes[] = {0, kFourGb / 2, kFourGb - kCacheLineSize};
+  for (PmAddr addr : probes) {
+    std::vector<std::uint8_t> out(kCacheLineSize, 0xff);
+    space.CpuRead(addr, out);
+    EXPECT_EQ(out, zeros) << "at " << addr;
+  }
+}
+
+TEST(PmSpaceTest, TopLineCrashRestoresPreImage) {
+  PmSpaceOptions o;
+  o.size = kFourGb;
+  o.pending_line_survival = 0.0;
+  PmSpace space(o);
+  const PmAddr top = kFourGb - kCacheLineSize;
+  const auto persisted = Pattern(kCacheLineSize, 1);
+  space.CpuWrite(top, persisted);
+  space.CpuPersist(top, kCacheLineSize);
+  space.CpuWrite(top, Pattern(kCacheLineSize, 100));
+  EXPECT_EQ(space.PendingLinesIn({top, kFourGb}), 1u);
+  Rng rng(1);
+  const CrashReport report = space.Crash(rng, 0);
+  EXPECT_EQ(report.cpu_lines_dropped, 1u);
+  std::vector<std::uint8_t> out(kCacheLineSize);
+  space.CpuRead(top, out);
+  EXPECT_EQ(out, persisted);
+}
+
+TEST(PmSpaceTest, ZeroSizeSpaceConstructs) {
+  PmSpaceOptions o;
+  o.size = 0;
+  PmSpace space(o);
+  EXPECT_EQ(space.size(), 0u);
+  EXPECT_EQ(space.PendingLinesIn({0, 0}), 0u);
+  Rng rng(1);
+  const CrashReport report = space.Crash(rng, 0);
+  EXPECT_EQ(report.cpu_lines_dropped + report.cpu_lines_survived, 0u);
+}
+
+// Resident set size in bytes from /proc/self/statm, or -1 without /proc.
+std::int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t total_pages = 0;
+  std::int64_t resident_pages = 0;
+  if (!(statm >> total_pages >> resident_pages)) {
+    return -1;
+  }
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(PmSpaceTest, ResidentMemoryFollowsTouchedPm) {
+  const std::int64_t before = ResidentBytes();
+  if (before < 0) {
+    GTEST_SKIP() << "/proc/self/statm not available";
+  }
+  PmSpaceOptions o;
+  o.size = kFourGb;
+  PmSpace space(o);
+  space.CpuWrite(0, Pattern(kCacheLineSize, 1));
+  space.CpuWrite(kFourGb - kCacheLineSize, Pattern(kCacheLineSize, 2));
+  const std::int64_t after = ResidentBytes();
+  EXPECT_LT(after - before, std::int64_t{8} << 20);
 }
 
 }  // namespace
