@@ -1,13 +1,11 @@
 #include "src/hwmodel/hw_config.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
-#include <vector>
+#include <utility>
+
+#include "src/common/json.h"
 
 namespace nearpm {
 namespace hwmodel {
@@ -50,281 +48,19 @@ constexpr std::size_t kNumCostFields =
 static_assert(sizeof(CostModel) == kNumCostFields * sizeof(double),
               "CostModel gained a field; add it to kCostFields");
 
-// ---- Tiny JSON-subset reader -------------------------------------------------
-//
-// Grammar: object of "key": value pairs where a value is a number, a quoted
-// string, or (at the top level only) another object of the same shape. No
-// arrays, booleans, nulls, escapes or exponents-with-signs beyond what
-// strtod accepts. Errors carry the byte offset.
-
-struct JsonScalar {
-  enum class Kind { kNumber, kString };
-  Kind kind = Kind::kNumber;
-  double number = 0.0;
-  std::string str;
-};
-
-// Insertion order preserved so "applied in a fixed section order" is about
-// the schema, not the author's key order within a section.
-using FlatObject = std::vector<std::pair<std::string, JsonScalar>>;
-
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool Fail(const std::string& message) {
-    error = message + " at offset " + std::to_string(pos);
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool Expect(char c) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != '"') {
-      return Fail("expected string");
-    }
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') {
-        return Fail("escape sequences are not supported");
-      }
-      out->push_back(text[pos++]);
-    }
-    if (pos >= text.size()) {
-      return Fail("unterminated string");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool ParseScalar(JsonScalar* out) {
-    SkipWs();
-    if (pos >= text.size()) {
-      return Fail("expected value");
-    }
-    if (text[pos] == '"') {
-      out->kind = JsonScalar::Kind::kString;
-      return ParseString(&out->str);
-    }
-    const char* begin = text.data() + pos;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) {
-      return Fail("expected number");
-    }
-    if (!std::isfinite(v)) {
-      return Fail("number is not finite");
-    }
-    out->kind = JsonScalar::Kind::kNumber;
-    out->number = v;
-    pos += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  // Parses { "k": scalar, ... } into `out`. Nested objects are rejected
-  // (depth is handled one level up, by the schema walker).
-  bool ParseFlatObject(FlatObject* out) {
-    if (!Expect('{')) return false;
-    SkipWs();
-    if (pos < text.size() && text[pos] == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Expect(':')) return false;
-      SkipWs();
-      if (pos < text.size() && text[pos] == '{') {
-        return Fail("section '" + key + "' may not nest further");
-      }
-      JsonScalar value;
-      if (!ParseScalar(&value)) return false;
-      for (const auto& [existing, unused] : *out) {
-        if (existing == key) {
-          return Fail("duplicate key '" + key + "' in section");
-        }
-      }
-      out->emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    return Expect('}');
-  }
-};
-
-// One top-level entry: either a scalar or a named section of scalars.
-struct TopEntry {
-  std::string key;
-  bool is_section = false;
-  JsonScalar scalar;
-  FlatObject section;
-};
-
-bool ParseTopLevel(Parser* p, std::vector<TopEntry>* out) {
-  if (!p->Expect('{')) return false;
-  p->SkipWs();
-  if (p->pos < p->text.size() && p->text[p->pos] == '}') {
-    ++p->pos;
-  } else {
-    while (true) {
-      TopEntry entry;
-      if (!p->ParseString(&entry.key)) return false;
-      if (!p->Expect(':')) return false;
-      p->SkipWs();
-      if (p->pos < p->text.size() && p->text[p->pos] == '{') {
-        entry.is_section = true;
-        if (!p->ParseFlatObject(&entry.section)) return false;
-      } else {
-        if (!p->ParseScalar(&entry.scalar)) return false;
-      }
-      out->push_back(std::move(entry));
-      p->SkipWs();
-      if (p->pos < p->text.size() && p->text[p->pos] == ',') {
-        ++p->pos;
-        continue;
-      }
-      break;
-    }
-    if (!p->Expect('}')) return false;
-  }
-  p->SkipWs();
-  if (p->pos != p->text.size()) {
-    return p->Fail("trailing content after config object");
-  }
-  return true;
-}
-
-// ---- Schema application ------------------------------------------------------
-
-Status WrongKind(const std::string& where, const char* want) {
-  return InvalidArgument("hwconfig: '" + where + "' must be a " + want);
-}
-
-Status NumberField(const std::string& where, const JsonScalar& v,
-                   double* out) {
-  if (v.kind != JsonScalar::Kind::kNumber) {
-    return WrongKind(where, "number");
-  }
-  *out = v.number;
-  return Status::Ok();
-}
-
-Status IntField(const std::string& where, const JsonScalar& v, long* out) {
-  double d = 0.0;
-  Status st = NumberField(where, v, &d);
-  if (!st.ok()) return st;
-  if (d != std::floor(d)) {
-    return InvalidArgument("hwconfig: '" + where + "' must be an integer");
-  }
-  *out = static_cast<long>(d);
-  return Status::Ok();
-}
-
-Status RateField(const std::string& where, const JsonScalar& v,
+// A positive GB/s alias for a per-byte rate constant.
+Status ApplyRate(json::Reader* section, const char* key,
                  double* ns_per_byte) {
+  if (!section->Has(key)) {
+    return Status::Ok();
+  }
   double gbps = 0.0;
-  Status st = NumberField(where, v, &gbps);
-  if (!st.ok()) return st;
-  if (gbps <= 0.0) {
-    return InvalidArgument("hwconfig: '" + where + "' must be > 0 GB/s");
+  NEARPM_RETURN_IF_ERROR(section->Get(key, &gbps));
+  if (!(gbps > 0.0)) {
+    return InvalidArgument(std::string("hwconfig: 'bandwidth.") + key +
+                           "' must be > 0 GB/s");
   }
   *ns_per_byte = 1.0 / gbps;
-  return Status::Ok();
-}
-
-Status ApplyPipeline(const FlatObject& section, PipelineConfig* pipe) {
-  for (const auto& [key, value] : section) {
-    const std::string where = "pipeline." + key;
-    if (key == "dispatch_ns") {
-      Status st = NumberField(where, value, &pipe->dispatch_ns);
-      if (!st.ok()) return st;
-    } else if (key == "writeback_ns") {
-      Status st = NumberField(where, value, &pipe->writeback_ns);
-      if (!st.ok()) return st;
-    } else if (key == "lsq_depth") {
-      long n = 0;
-      Status st = IntField(where, value, &n);
-      if (!st.ok()) return st;
-      pipe->lsq_depth = static_cast<int>(n);
-    } else {
-      return InvalidArgument("hwconfig: unknown key '" + where + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ApplyBandwidth(const FlatObject& section, CostModel* cost) {
-  for (const auto& [key, value] : section) {
-    const std::string where = "bandwidth." + key;
-    if (key == "axi_gbps") {
-      Status st = RateField(where, value, &cost->ndp_dma_ns_per_byte);
-      if (!st.ok()) return st;
-    } else if (key == "net_gbps") {
-      Status st = RateField(where, value, &cost->net_link_ns_per_byte);
-      if (!st.ok()) return st;
-    } else {
-      return InvalidArgument("hwconfig: unknown key '" + where + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ApplyLatency(const FlatObject& section, CostModel* cost) {
-  for (const auto& [key, value] : section) {
-    const std::string where = "latency." + key;
-    double* target = nullptr;
-    if (key == "pm_read_ns") {
-      target = &cost->cpu_pm_read_ns;
-    } else if (key == "cmd_post_ns") {
-      target = &cost->cmd_post_ns;
-    } else if (key == "cmd_pipeline_ns") {
-      target = &cost->cmd_device_pipeline_ns;
-    } else if (key == "ndp_setup_ns") {
-      target = &cost->ndp_setup_ns;
-    } else if (key == "net_link_ns") {
-      target = &cost->net_link_latency_ns;
-    } else {
-      return InvalidArgument("hwconfig: unknown key '" + where + "'");
-    }
-    Status st = NumberField(where, value, target);
-    if (!st.ok()) return st;
-  }
-  return Status::Ok();
-}
-
-Status ApplyCost(const FlatObject& section, CostModel* cost) {
-  for (const auto& [key, value] : section) {
-    double CostModel::* member = FindCostField(key);
-    if (member == nullptr) {
-      return InvalidArgument("hwconfig: unknown key 'cost." + key +
-                             "' (not a CostModel constant)");
-    }
-    Status st = NumberField("cost." + key, value, &(cost->*member));
-    if (!st.ok()) return st;
-  }
   return Status::Ok();
 }
 
@@ -381,82 +117,53 @@ Status HwConfig::Validate() const {
 }
 
 StatusOr<HwConfig> ParseHwConfig(std::string_view text) {
-  Parser parser;
-  parser.text = text;
-  std::vector<TopEntry> entries;
-  if (!ParseTopLevel(&parser, &entries)) {
-    return InvalidArgument("hwconfig: " + parser.error);
+  StatusOr<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return InvalidArgument("hwconfig: " + doc.status().message());
   }
-
   HwConfig config;
-  // Sections are collected first and applied in schema order below, so
-  // "cost" overrides an alias no matter where the author placed it.
-  const FlatObject* pipeline = nullptr;
-  const FlatObject* bandwidth = nullptr;
-  const FlatObject* latency = nullptr;
-  const FlatObject* cost = nullptr;
-  std::map<std::string, int> seen;
-  for (const TopEntry& entry : entries) {
-    if (++seen[entry.key] > 1) {
-      return InvalidArgument("hwconfig: duplicate key '" + entry.key + "'");
-    }
-    if (entry.key == "schema_version") {
-      long v = 0;
-      Status st = IntField(entry.key, entry.scalar, &v);
-      if (!st.ok()) return st;
-      config.schema_version = static_cast<int>(v);
-    } else if (entry.key == "name") {
-      if (entry.scalar.kind != JsonScalar::Kind::kString || entry.is_section) {
-        return WrongKind(entry.key, "string");
-      }
-      config.name = entry.scalar.str;
-    } else if (entry.key == "units_per_device") {
-      long v = 0;
-      Status st = IntField(entry.key, entry.scalar, &v);
-      if (!st.ok()) return st;
-      config.units_per_device = static_cast<int>(v);
-    } else if (entry.key == "fifo_depth") {
-      long v = 0;
-      Status st = IntField(entry.key, entry.scalar, &v);
-      if (!st.ok()) return st;
-      if (v < 0) {
-        return InvalidArgument("hwconfig: fifo_depth must be >= 0");
-      }
-      config.fifo_depth = static_cast<std::size_t>(v);
-    } else if (entry.key == "pipeline") {
-      if (!entry.is_section) return WrongKind(entry.key, "section");
-      pipeline = &entry.section;
-    } else if (entry.key == "bandwidth") {
-      if (!entry.is_section) return WrongKind(entry.key, "section");
-      bandwidth = &entry.section;
-    } else if (entry.key == "latency") {
-      if (!entry.is_section) return WrongKind(entry.key, "section");
-      latency = &entry.section;
-    } else if (entry.key == "cost") {
-      if (!entry.is_section) return WrongKind(entry.key, "section");
-      cost = &entry.section;
-    } else {
-      return InvalidArgument("hwconfig: unknown key '" + entry.key + "'");
-    }
+  json::Reader top(*doc, "hwconfig: ");
+  NEARPM_RETURN_IF_ERROR(top.Get("schema_version", &config.schema_version));
+  NEARPM_RETURN_IF_ERROR(top.Get("name", &config.name));
+  NEARPM_RETURN_IF_ERROR(top.Get("units_per_device", &config.units_per_device));
+  NEARPM_RETURN_IF_ERROR(top.Get("fifo_depth", &config.fifo_depth));
+
+  NEARPM_ASSIGN_OR_RETURN(pipeline, top.Section("pipeline"));
+  NEARPM_RETURN_IF_ERROR(
+      pipeline.Get("dispatch_ns", &config.pipeline.dispatch_ns));
+  NEARPM_RETURN_IF_ERROR(
+      pipeline.Get("writeback_ns", &config.pipeline.writeback_ns));
+  NEARPM_RETURN_IF_ERROR(pipeline.Get("lsq_depth", &config.pipeline.lsq_depth));
+  NEARPM_RETURN_IF_ERROR(pipeline.Done());
+
+  // Sections apply in schema order -- bandwidth, latency, then cost -- so a
+  // "cost" entry wins over an alias no matter where the author placed it.
+  CostModel& cost = config.cost;
+  NEARPM_ASSIGN_OR_RETURN(bandwidth, top.Section("bandwidth"));
+  NEARPM_RETURN_IF_ERROR(
+      ApplyRate(&bandwidth, "axi_gbps", &cost.ndp_dma_ns_per_byte));
+  NEARPM_RETURN_IF_ERROR(
+      ApplyRate(&bandwidth, "net_gbps", &cost.net_link_ns_per_byte));
+  NEARPM_RETURN_IF_ERROR(bandwidth.Done());
+
+  NEARPM_ASSIGN_OR_RETURN(latency, top.Section("latency"));
+  NEARPM_RETURN_IF_ERROR(latency.Get("pm_read_ns", &cost.cpu_pm_read_ns));
+  NEARPM_RETURN_IF_ERROR(latency.Get("cmd_post_ns", &cost.cmd_post_ns));
+  NEARPM_RETURN_IF_ERROR(
+      latency.Get("cmd_pipeline_ns", &cost.cmd_device_pipeline_ns));
+  NEARPM_RETURN_IF_ERROR(latency.Get("ndp_setup_ns", &cost.ndp_setup_ns));
+  NEARPM_RETURN_IF_ERROR(
+      latency.Get("net_link_ns", &cost.net_link_latency_ns));
+  NEARPM_RETURN_IF_ERROR(latency.Done());
+
+  NEARPM_ASSIGN_OR_RETURN(exact, top.Section("cost"));
+  for (const CostField& field : kCostFields) {
+    NEARPM_RETURN_IF_ERROR(exact.Get(field.name, &(cost.*field.member)));
   }
-  if (pipeline != nullptr) {
-    Status st = ApplyPipeline(*pipeline, &config.pipeline);
-    if (!st.ok()) return st;
-  }
-  if (bandwidth != nullptr) {
-    Status st = ApplyBandwidth(*bandwidth, &config.cost);
-    if (!st.ok()) return st;
-  }
-  if (latency != nullptr) {
-    Status st = ApplyLatency(*latency, &config.cost);
-    if (!st.ok()) return st;
-  }
-  if (cost != nullptr) {
-    Status st = ApplyCost(*cost, &config.cost);
-    if (!st.ok()) return st;
-  }
-  Status st = config.Validate();
-  if (!st.ok()) return st;
+  NEARPM_RETURN_IF_ERROR(exact.Done());
+
+  NEARPM_RETURN_IF_ERROR(top.Done());
+  NEARPM_RETURN_IF_ERROR(config.Validate());
   return config;
 }
 
@@ -476,30 +183,22 @@ StatusOr<HwConfig> LoadHwConfigFile(const std::string& path) {
 }
 
 std::string WriteHwConfig(const HwConfig& config) {
-  std::ostringstream out;
-  // %.17g round-trips doubles exactly; trim the noise for integral values.
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  out << "{\n";
-  out << "  \"schema_version\": " << config.schema_version << ",\n";
-  out << "  \"name\": \"" << config.name << "\",\n";
-  out << "  \"units_per_device\": " << config.units_per_device << ",\n";
-  out << "  \"fifo_depth\": " << config.fifo_depth << ",\n";
-  out << "  \"pipeline\": {\"dispatch_ns\": " << num(config.pipeline.dispatch_ns)
-      << ", \"writeback_ns\": " << num(config.pipeline.writeback_ns)
-      << ", \"lsq_depth\": " << config.pipeline.lsq_depth << "},\n";
-  out << "  \"cost\": {\n";
-  for (std::size_t i = 0; i < kNumCostFields; ++i) {
-    out << "    \"" << kCostFields[i].name
-        << "\": " << num(config.cost.*kCostFields[i].member)
-        << (i + 1 < kNumCostFields ? ",\n" : "\n");
+  json::Value pipeline;
+  pipeline.Add("dispatch_ns", json::Value::Number(config.pipeline.dispatch_ns))
+      .Add("writeback_ns", json::Value::Number(config.pipeline.writeback_ns))
+      .Add("lsq_depth", json::Value::Number(config.pipeline.lsq_depth));
+  json::Value cost;
+  for (const CostField& field : kCostFields) {
+    cost.Add(field.name, json::Value::Number(config.cost.*field.member));
   }
-  out << "  }\n";
-  out << "}\n";
-  return out.str();
+  json::Value out;
+  out.Add("schema_version", json::Value::Number(config.schema_version))
+      .Add("name", json::Value::String(config.name))
+      .Add("units_per_device", json::Value::Number(config.units_per_device))
+      .Add("fifo_depth", json::Value::Uint(config.fifo_depth))
+      .Add("pipeline", std::move(pipeline))
+      .Add("cost", std::move(cost));
+  return json::Write(out);
 }
 
 }  // namespace hwmodel

@@ -105,10 +105,8 @@ const CostField* CostFields(std::size_t* count);
 // nullptr when `name` is not a CostModel constant.
 double CostModel::* FindCostField(std::string_view name);
 
-// Parses a config from its JSON text. The accepted grammar is a deliberately
-// tiny JSON subset (objects of numbers, strings and one level of nested
-// objects -- no arrays, booleans or nulls), read with no external
-// dependencies. Schema:
+// Parses a config from its JSON text, read by src/common/json (grammar and
+// strictness rules: DESIGN.md section 2). Schema:
 //
 //   {
 //     "schema_version": 1,            // optional, must equal 1 when present
@@ -124,10 +122,9 @@ double CostModel::* FindCostField(std::string_view name);
 //   }
 //
 // Sections apply in a fixed order -- bandwidth, latency, then cost -- so a
-// "cost" entry wins over an alias for the same constant. Unknown keys,
-// malformed syntax, wrong value kinds, schema-version mismatches and
-// out-of-range values are all hard errors: a sweep must never silently run
-// a geometry the author did not write.
+// "cost" entry wins over an alias for the same constant. Schema-version
+// mismatches and out-of-range values are hard errors too: a sweep must never
+// silently run a geometry the author did not write.
 StatusOr<HwConfig> ParseHwConfig(std::string_view text);
 
 // Reads and parses `path`. Errors are prefixed with the file name.

@@ -1,163 +1,13 @@
 #include "src/obs/slo.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <utility>
-#include <vector>
+
+#include "src/common/json.h"
 
 namespace nearpm {
 namespace obs {
-
-namespace {
-
-// Tiny strict JSON-subset reader, same grammar discipline as the hwmodel
-// config parser: one flat object of "key": number-or-string pairs, no
-// arrays, booleans, nulls or escapes. Errors carry the byte offset, and
-// unknown or duplicate keys are hard errors -- a CI gate must never
-// silently enforce a bound the author did not write.
-
-struct Scalar {
-  bool is_string = false;
-  double number = 0.0;
-  std::string str;
-};
-
-using FlatObject = std::vector<std::pair<std::string, Scalar>>;
-
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool Fail(const std::string& message) {
-    error = message + " at offset " + std::to_string(pos);
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool Expect(char c) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != '"') {
-      return Fail("expected string");
-    }
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') {
-        return Fail("escape sequences are not supported");
-      }
-      out->push_back(text[pos++]);
-    }
-    if (pos >= text.size()) {
-      return Fail("unterminated string");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool ParseScalar(Scalar* out) {
-    SkipWs();
-    if (pos >= text.size()) {
-      return Fail("expected value");
-    }
-    if (text[pos] == '"') {
-      out->is_string = true;
-      return ParseString(&out->str);
-    }
-    const char* begin = text.data() + pos;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) {
-      return Fail("expected number");
-    }
-    if (!std::isfinite(v)) {
-      return Fail("number is not finite");
-    }
-    out->is_string = false;
-    out->number = v;
-    pos += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  bool ParseObject(FlatObject* out) {
-    if (!Expect('{')) return false;
-    SkipWs();
-    if (pos < text.size() && text[pos] == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Expect(':')) return false;
-      Scalar value;
-      if (!ParseScalar(&value)) return false;
-      for (const auto& [existing, unused] : *out) {
-        if (existing == key) {
-          return Fail("duplicate key '" + key + "'");
-        }
-      }
-      out->emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    return Expect('}');
-  }
-};
-
-// Writes a double the way the canonical form expects: integers without a
-// fraction, everything else with enough digits to round-trip.
-std::string NumberText(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-Status RequireNumber(const std::string& key, const Scalar& value) {
-  if (value.is_string) {
-    return InvalidArgument("slo key '" + key + "' must be a number");
-  }
-  return Status::Ok();
-}
-
-Status RequireNonNegativeInteger(const std::string& key, const Scalar& value) {
-  NEARPM_RETURN_IF_ERROR(RequireNumber(key, value));
-  if (value.number < 0 || value.number != std::floor(value.number)) {
-    return InvalidArgument("slo key '" + key +
-                           "' must be a non-negative integer");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status SloSpec::Validate() const {
   if (schema_version != kSloSchemaVersion) {
@@ -184,49 +34,22 @@ Status SloSpec::Validate() const {
 }
 
 StatusOr<SloSpec> ParseSloSpec(std::string_view text) {
-  Parser parser{text, 0, {}};
-  FlatObject object;
-  if (!parser.ParseObject(&object)) {
-    return InvalidArgument("slo parse error: " + parser.error);
+  StatusOr<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return InvalidArgument("slo parse error: " + doc.status().message());
   }
-  parser.SkipWs();
-  if (parser.pos != text.size()) {
-    return InvalidArgument("slo parse error: trailing content at offset " +
-                           std::to_string(parser.pos));
-  }
-
   SloSpec spec;
-  for (const auto& [key, value] : object) {
-    if (key == "schema_version") {
-      NEARPM_RETURN_IF_ERROR(RequireNonNegativeInteger(key, value));
-      spec.schema_version = static_cast<int>(value.number);
-    } else if (key == "name") {
-      if (!value.is_string) {
-        return InvalidArgument("slo key 'name' must be a string");
-      }
-      spec.name = value.str;
-    } else if (key == "p99_ns") {
-      NEARPM_RETURN_IF_ERROR(RequireNumber(key, value));
-      spec.p99_ns = value.number;
-    } else if (key == "max_error_rate") {
-      NEARPM_RETURN_IF_ERROR(RequireNumber(key, value));
-      spec.max_error_rate = value.number;
-    } else if (key == "max_stall_fraction") {
-      NEARPM_RETURN_IF_ERROR(RequireNumber(key, value));
-      spec.max_stall_fraction = value.number;
-    } else if (key == "window_ns") {
-      NEARPM_RETURN_IF_ERROR(RequireNumber(key, value));
-      spec.window_ns = value.number;
-    } else if (key == "min_requests") {
-      NEARPM_RETURN_IF_ERROR(RequireNonNegativeInteger(key, value));
-      spec.min_requests = static_cast<std::uint64_t>(value.number);
-    } else if (key == "slow_k") {
-      NEARPM_RETURN_IF_ERROR(RequireNonNegativeInteger(key, value));
-      spec.slow_k = static_cast<int>(value.number);
-    } else {
-      return InvalidArgument("unknown slo key '" + key + "'");
-    }
-  }
+  json::Reader r(*doc, "slo: ");
+  NEARPM_RETURN_IF_ERROR(r.Get("schema_version", &spec.schema_version));
+  NEARPM_RETURN_IF_ERROR(r.Get("name", &spec.name));
+  NEARPM_RETURN_IF_ERROR(r.Get("p99_ns", &spec.p99_ns));
+  NEARPM_RETURN_IF_ERROR(r.Get("max_error_rate", &spec.max_error_rate));
+  NEARPM_RETURN_IF_ERROR(
+      r.Get("max_stall_fraction", &spec.max_stall_fraction));
+  NEARPM_RETURN_IF_ERROR(r.Get("window_ns", &spec.window_ns));
+  NEARPM_RETURN_IF_ERROR(r.Get("min_requests", &spec.min_requests));
+  NEARPM_RETURN_IF_ERROR(r.Get("slow_k", &spec.slow_k));
+  NEARPM_RETURN_IF_ERROR(r.Done());
   NEARPM_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
@@ -246,19 +69,16 @@ StatusOr<SloSpec> LoadSloSpecFile(const std::string& path) {
 }
 
 std::string WriteSloSpec(const SloSpec& spec) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema_version\": " << spec.schema_version << ",\n";
-  os << "  \"name\": \"" << spec.name << "\",\n";
-  os << "  \"p99_ns\": " << NumberText(spec.p99_ns) << ",\n";
-  os << "  \"max_error_rate\": " << NumberText(spec.max_error_rate) << ",\n";
-  os << "  \"max_stall_fraction\": " << NumberText(spec.max_stall_fraction)
-     << ",\n";
-  os << "  \"window_ns\": " << NumberText(spec.window_ns) << ",\n";
-  os << "  \"min_requests\": " << spec.min_requests << ",\n";
-  os << "  \"slow_k\": " << spec.slow_k << "\n";
-  os << "}\n";
-  return os.str();
+  json::Value out;
+  out.Add("schema_version", json::Value::Number(spec.schema_version))
+      .Add("name", json::Value::String(spec.name))
+      .Add("p99_ns", json::Value::Number(spec.p99_ns))
+      .Add("max_error_rate", json::Value::Number(spec.max_error_rate))
+      .Add("max_stall_fraction", json::Value::Number(spec.max_stall_fraction))
+      .Add("window_ns", json::Value::Number(spec.window_ns))
+      .Add("min_requests", json::Value::Uint(spec.min_requests))
+      .Add("slow_k", json::Value::Number(spec.slow_k));
+  return json::Write(out);
 }
 
 }  // namespace obs

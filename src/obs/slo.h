@@ -41,8 +41,8 @@ struct SloSpec {
   Status Validate() const;
 };
 
-// Parses a spec from its JSON text (flat object of numbers and strings).
-// Schema:
+// Parses a spec from its JSON text, read by src/common/json (grammar and
+// strictness rules: DESIGN.md section 2). Schema:
 //
 //   {
 //     "schema_version": 1,          // optional, must equal 1 when present

@@ -12,10 +12,10 @@
 
 #include "src/analyze/rules.h"
 #include "src/analyze/sanitizer.h"
+#include "src/common/json.h"
 #include "src/core/log_layout.h"
 #include "src/core/options.h"
 #include "src/core/runtime.h"
-#include "src/fuzz/fuzz_json.h"
 #include "src/pmem/pm_space.h"
 #include "src/trace/crash_cursor.h"
 #include "src/trace/ppo_checker.h"
@@ -593,65 +593,50 @@ LitmusProgram ShrinkDisagreement(const LitmusProgram& program,
 }
 
 std::string LitmusRepro::Write() const {
-  fuzz::JsonObject object;
-  object["schema"] = fuzz::JsonValue::String("litmus-repro-v1");
-  object["name"] = fuzz::JsonValue::String(name);
-  object["text"] = fuzz::JsonValue::String(text);
-  object["enforce"] = fuzz::JsonValue::Bool(enforce);
-  object["mutation"] = fuzz::JsonValue::String(SpecMutationName(mutation));
-  object["weaken_checker"] = fuzz::JsonValue::Uint(weaken_checker);
-  object["kind"] = fuzz::JsonValue::String(DisagreementKindName(kind));
-  object["detail"] = fuzz::JsonValue::String(detail);
-  return fuzz::WriteJsonObject(object);
+  using json::Value;
+  // Keys in sorted order, the corpus file format.
+  Value object;
+  object.Add("detail", Value::String(detail))
+      .Add("enforce", Value::Bool(enforce))
+      .Add("kind", Value::String(DisagreementKindName(kind)))
+      .Add("mutation", Value::String(SpecMutationName(mutation)))
+      .Add("name", Value::String(name))
+      .Add("schema", Value::String("litmus-repro-v1"))
+      .Add("text", Value::String(text))
+      .Add("weaken_checker", Value::Uint(weaken_checker));
+  return json::Write(object);
 }
 
 StatusOr<LitmusRepro> LitmusRepro::Parse(std::string_view text) {
-  StatusOr<fuzz::JsonObject> object = fuzz::ParseJsonObject(text);
-  if (!object.ok()) {
-    return object.status();
+  StatusOr<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return doc.status();
   }
-  const auto get = [&](const std::string& key) -> const fuzz::JsonValue* {
-    auto it = object->find(key);
-    return it == object->end() ? nullptr : &it->second;
-  };
-  const fuzz::JsonValue* schema = get("schema");
-  if (schema == nullptr || schema->str != "litmus-repro-v1") {
-    return InvalidArgument("litmus repro: missing or unknown schema");
+  json::Reader r(*doc, "litmus repro: ");
+  std::string schema;
+  NEARPM_RETURN_IF_ERROR(r.Require("schema", &schema));
+  if (schema != "litmus-repro-v1") {
+    return InvalidArgument("litmus repro: unknown schema '" + schema + "'");
   }
   LitmusRepro repro;
-  const fuzz::JsonValue* field = get("name");
-  if (field == nullptr) {
-    return InvalidArgument("litmus repro: missing name");
-  }
-  repro.name = field->str;
-  field = get("text");
-  if (field == nullptr || field->str.empty()) {
+  NEARPM_RETURN_IF_ERROR(r.Require("name", &repro.name));
+  NEARPM_RETURN_IF_ERROR(r.Require("text", &repro.text));
+  if (repro.text.empty()) {
     return InvalidArgument("litmus repro: missing program text");
   }
-  repro.text = field->str;
-  field = get("enforce");
-  if (field != nullptr) {
-    repro.enforce = field->boolean;
+  NEARPM_RETURN_IF_ERROR(r.Get("enforce", &repro.enforce));
+  std::string name = SpecMutationName(repro.mutation);
+  NEARPM_RETURN_IF_ERROR(r.Get("mutation", &name));
+  if (!SpecMutationFromString(name, &repro.mutation)) {
+    return InvalidArgument("litmus repro: unknown mutation '" + name + "'");
   }
-  field = get("mutation");
-  if (field != nullptr &&
-      !SpecMutationFromString(field->str, &repro.mutation)) {
-    return InvalidArgument("litmus repro: unknown mutation '" + field->str +
-                           "'");
+  NEARPM_RETURN_IF_ERROR(r.Get("weaken_checker", &repro.weaken_checker));
+  NEARPM_RETURN_IF_ERROR(r.Require("kind", &name));
+  if (!DisagreementKindFromString(name, &repro.kind)) {
+    return InvalidArgument("litmus repro: unknown kind '" + name + "'");
   }
-  field = get("weaken_checker");
-  if (field != nullptr) {
-    repro.weaken_checker = static_cast<std::uint32_t>(field->num);
-  }
-  field = get("kind");
-  if (field == nullptr ||
-      !DisagreementKindFromString(field->str, &repro.kind)) {
-    return InvalidArgument("litmus repro: missing or unknown kind");
-  }
-  field = get("detail");
-  if (field != nullptr) {
-    repro.detail = field->str;
-  }
+  NEARPM_RETURN_IF_ERROR(r.Get("detail", &repro.detail));
+  NEARPM_RETURN_IF_ERROR(r.Done());
   return repro;
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -203,6 +207,166 @@ TEST(GeoMeanTest, Basics) {
   EXPECT_DOUBLE_EQ(GeoMean({4.0, 1.0}), 2.0);
   EXPECT_DOUBLE_EQ(GeoMean({}), 0.0);
   EXPECT_NEAR(GeoMean({2.0, 8.0}), 4.0, 1e-12);
+}
+
+TEST(ParseUintTest, ExactDecimalOnly) {
+  std::uint64_t n = 7;
+  for (const char* bad : {"-1", " 1", "1 ", "+1", "", "0x8", "1.0",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUint(bad, &n)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(n, 7u) << "a rejected parse leaves the output alone";
+  ASSERT_TRUE(ParseUint("0", &n));
+  EXPECT_EQ(n, 0u);
+  ASSERT_TRUE(ParseUint("18446744073709551615", &n));
+  EXPECT_EQ(n, UINT64_MAX);
+}
+
+TEST(JsonTest, ParsesNestedObjectsInOrder) {
+  const auto doc = json::Parse(
+      " {\"b\": {\"c\": {\"d\": true}}, \"a\": \"x\", \"e\": false}\n");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->members.size(), 3u);
+  EXPECT_EQ(doc->members[0].first, "b");
+  EXPECT_EQ(doc->members[1].first, "a");
+  const json::Value& c = doc->members[0].second.members.at(0).second;
+  EXPECT_EQ(c.kind, json::Value::Kind::kObject);
+  EXPECT_TRUE(c.members.at(0).second.boolean);
+  EXPECT_EQ(doc->members[1].second.str, "x");
+  EXPECT_EQ(doc->members[2].second.kind, json::Value::Kind::kBool);
+  EXPECT_FALSE(json::Parse("{\"a\": [1]}").ok());
+  EXPECT_FALSE(json::Parse("{\"a\": null}").ok());
+  EXPECT_FALSE(json::Parse("[]").ok());
+  std::string deep;
+  for (int i = 0; i < 100; ++i) deep += "{\"a\": ";
+  EXPECT_FALSE(json::Parse(deep).ok()) << "nesting depth is bounded";
+}
+
+TEST(JsonTest, StringEscapesRoundTrip) {
+  const auto doc = json::Parse(
+      R"({"s": "q\" b\\ s\/ \b\f\n\r\t \u0041\u001f"})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const std::string s = doc->members.at(0).second.str;
+  EXPECT_EQ(s, "q\" b\\ s/ \b\f\n\r\t A\x1f");
+
+  json::Value out;
+  out.Add("s", json::Value::String(s));
+  const std::string text = json::Write(out);
+  EXPECT_EQ(text,
+            "{\n  \"s\": \"q\\\" b\\\\ s/ \\b\\f\\n\\r\\t A\\u001f\"\n}\n");
+  const auto back = json::Parse(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->members.at(0).second.str, s);
+
+  EXPECT_FALSE(json::Parse(R"({"s": "\x41"})").ok()) << "unknown escape";
+  EXPECT_FALSE(json::Parse(R"({"s": "\u00e9"})").ok()) << "non-ASCII \\u";
+  EXPECT_FALSE(json::Parse(R"({"s": "\u00"})").ok());
+  EXPECT_FALSE(json::Parse("{\"s\": \"a\tb\"}").ok()) << "raw tab";
+  EXPECT_FALSE(json::Parse("{\"s\": \"abc").ok()) << "unterminated";
+}
+
+TEST(JsonTest, NumbersFollowTheRfcGrammar) {
+  const auto doc = json::Parse(
+      R"({"max": 18446744073709551615, "zero": 0, "neg": -5, "frac": 1.5e3,
+          "small": 1E-2, "negzero": -0})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const auto& m = doc->members;
+  EXPECT_EQ(m[0].second.kind, json::Value::Kind::kUint);
+  EXPECT_EQ(m[0].second.integer, UINT64_MAX);
+  EXPECT_EQ(m[1].second.kind, json::Value::Kind::kUint);
+  EXPECT_EQ(m[2].second.kind, json::Value::Kind::kDouble);
+  EXPECT_EQ(m[2].second.number, -5.0);
+  EXPECT_EQ(m[3].second.number, 1500.0);
+  EXPECT_EQ(m[4].second.number, 0.01);
+  EXPECT_TRUE(std::signbit(m[5].second.number));
+  for (const char* bad :
+       {"18446744073709551616", "0x8", "+1", ".5", "01", "1.", "1e", "-",
+        "1e400", "Infinity", "NaN"}) {
+    EXPECT_FALSE(json::Parse(std::string("{\"n\": ") + bad + "}").ok())
+        << bad;
+  }
+}
+
+TEST(JsonTest, ErrorsCarryTheByteOffset) {
+  const auto expect_offset = [](const char* text, const char* offset) {
+    const auto doc = json::Parse(text);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_NE(doc.status().message().find(std::string("at offset ") + offset),
+              std::string::npos)
+        << doc.status().message();
+  };
+  expect_offset("{\"a\": 1,}", "8");
+  expect_offset("{\"a\": 1, \"a\": 2}", "9");  // the repeated key
+  expect_offset("{\"a\": 1} x", "9");            // trailing content
+  expect_offset("{\"a\": 99999999999999999999}", "6");
+  expect_offset("{\"a\": \"\\q\"}", "7");
+}
+
+TEST(JsonTest, WriterIsCanonical) {
+  json::Value inner;
+  inner.Add("lsq", json::Value::Number(8.0));
+  json::Value out;
+  out.Add("name", json::Value::String("n"))
+      .Add("int", json::Value::Number(-3.0))
+      .Add("tenth", json::Value::Number(0.1))
+      .Add("big", json::Value::Number(1e300))
+      .Add("max", json::Value::Uint(UINT64_MAX))
+      .Add("flag", json::Value::Bool(true))
+      .Add("empty", json::Value())
+      .Add("inner", std::move(inner));
+  const std::string text = json::Write(out);
+  EXPECT_EQ(text,
+            "{\n"
+            "  \"name\": \"n\",\n"
+            "  \"int\": -3,\n"
+            "  \"tenth\": 0.1,\n"
+            "  \"big\": 1e+300,\n"
+            "  \"max\": 18446744073709551615,\n"
+            "  \"flag\": true,\n"
+            "  \"empty\": {},\n"
+            "  \"inner\": {\n"
+            "    \"lsq\": 8\n"
+            "  }\n"
+            "}\n");
+  const auto back = json::Parse(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(json::Write(*back), text);
+  EXPECT_EQ(back->members[3].second.number, 1e300);
+}
+
+TEST(JsonTest, ReaderChecksKindRangeAndUnknownKeys) {
+  const auto doc = json::Parse(
+      R"({"s": "x", "n": 300, "d": 2.5, "b": true, "o": {"k": 1}})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  json::Reader r(*doc, "t: ");
+  std::string s;
+  std::uint8_t small = 0;
+  int n = 0;
+  double d = 0.0;
+  bool b = false;
+  EXPECT_FALSE(r.Get("n", &s).ok()) << "number read as string";
+  EXPECT_FALSE(r.Get("n", &small).ok()) << "300 does not fit in uint8";
+  EXPECT_FALSE(r.Get("d", &n).ok()) << "2.5 is not an integer";
+  EXPECT_FALSE(r.Get("s", &b).ok()) << "string read as bool";
+  ASSERT_TRUE(r.Get("n", &n).ok());
+  EXPECT_EQ(n, 300);
+  ASSERT_TRUE(r.Get("n", &d).ok()) << "an integer reads as a double";
+  EXPECT_EQ(d, 300.0);
+  EXPECT_TRUE(r.Get("missing", &n).ok());
+  EXPECT_EQ(n, 300) << "an absent key leaves the output alone";
+  EXPECT_FALSE(r.Require("missing", &n).ok());
+  EXPECT_FALSE(r.Done().ok()) << "b and o were never read";
+  ASSERT_TRUE(r.Get("s", &s).ok());
+  ASSERT_TRUE(r.Get("d", &d).ok());
+  ASSERT_TRUE(r.Get("b", &b).ok());
+  EXPECT_FALSE(r.Section("s").ok()) << "string read as an object";
+  auto o = r.Section("o");
+  ASSERT_TRUE(o.ok());
+  EXPECT_FALSE(o->Done().ok()) << "o.k was never read";
+  EXPECT_TRUE(r.Done().ok());
+  auto absent = r.Section("none");
+  ASSERT_TRUE(absent.ok());
+  EXPECT_TRUE(absent->Done().ok());
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 // and points at the source-tree corpus directory.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,6 +72,18 @@ TEST_P(FuzzCorpusReplayTest, ReplayMatchesExpectation) {
   } else {
     EXPECT_TRUE(run_ok) << verdict << " (" << GetParam() << ")";
   }
+}
+
+// Write(Parse(file)) reproduces every committed repro byte for byte, which
+// pins the corpus file format.
+TEST_P(FuzzCorpusReplayTest, FileRoundTripsByteIdentical) {
+  std::ifstream in(GetParam());
+  ASSERT_TRUE(in.good()) << GetParam();
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto repro = ReproFromJson(text.str());
+  ASSERT_TRUE(repro.ok()) << repro.status().ToString();
+  EXPECT_EQ(ReproToJson(*repro), text.str());
 }
 
 // The rule-engine policy nearpm_analyze --corpus enforces, applied to the

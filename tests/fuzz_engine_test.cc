@@ -198,6 +198,26 @@ TEST(FuzzCorpusRoundTripTest, JsonRoundTripIsLossless) {
   EXPECT_EQ(back.line_survival, c.line_survival);
 }
 
+// A repro must replay exactly the crash state that was found, so an edit
+// that repeats, overflows or misspells a field is an error, not a guess.
+TEST(FuzzCorpusRoundTripTest, RejectsMalformedRepros) {
+  const std::string json = ReproToJson(CrashRepro{});
+  ASSERT_TRUE(ReproFromJson(json).ok());
+  const auto replaced = [&json](const std::string& to) {
+    const std::string from = "\"seed\": 1";
+    std::string text = json;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos);
+    return text.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(ReproFromJson(replaced("\"seed\": 1, \"seed\": 2")).ok())
+      << "duplicate key";
+  EXPECT_FALSE(ReproFromJson(replaced("\"seed\": 18446744073709551617")).ok())
+      << "2^64 + 1 must not wrap to 1";
+  EXPECT_FALSE(ReproFromJson(replaced("\"seed\": 1, \"knid\": \"serve\"")).ok())
+      << "unknown key";
+}
+
 }  // namespace
 }  // namespace fuzz
 }  // namespace nearpm

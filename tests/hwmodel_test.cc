@@ -61,7 +61,7 @@ TEST(HwConfigTest, CostFieldTableCoversEveryConstant) {
 
 TEST(HwConfigTest, WriteParseRoundTripsNonTrivialConfig) {
   HwConfig hw;
-  hw.name = "round-trip";
+  hw.name = "round-\"trip\\";
   hw.units_per_device = 7;
   hw.fifo_depth = 96;
   hw.pipeline.dispatch_ns = 12.5;
@@ -97,6 +97,10 @@ TEST(HwConfigTest, RejectsMalformedJson) {
   EXPECT_FALSE(ParseHwConfig("[1, 2]").ok());
   EXPECT_FALSE(ParseHwConfig("{\"fifo_depth\": [8]}").ok());
   EXPECT_FALSE(ParseHwConfig("{\"name\": btree}").ok());
+  // Only RFC 8259 numbers: no hex, no leading '+', no bare fraction.
+  EXPECT_FALSE(ParseHwConfig("{\"units_per_device\": 0x8}").ok());
+  EXPECT_FALSE(ParseHwConfig("{\"fifo_depth\": +.5e2}").ok());
+  EXPECT_FALSE(ParseHwConfig("{\"pipeline\": {\"dispatch_ns\": .5}}").ok());
 }
 
 TEST(HwConfigTest, RejectsUnknownKeys) {
@@ -125,6 +129,8 @@ TEST(HwConfigTest, RejectsWrongSchemaVersion) {
 TEST(HwConfigTest, RejectsOutOfRangeValues) {
   EXPECT_FALSE(ParseHwConfig("{\"units_per_device\": 0}").ok());
   EXPECT_FALSE(ParseHwConfig("{\"units_per_device\": 65}").ok());
+  // 2^32 + 4 must not wrap to a valid 4-unit geometry.
+  EXPECT_FALSE(ParseHwConfig("{\"units_per_device\": 4294967300}").ok());
   EXPECT_FALSE(ParseHwConfig("{\"fifo_depth\": 0}").ok());
   EXPECT_FALSE(ParseHwConfig("{\"fifo_depth\": 5000}").ok());
   EXPECT_FALSE(ParseHwConfig("{\"pipeline\": {\"lsq_depth\": -1}}").ok());

@@ -150,6 +150,32 @@ TEST(Conformance, ReproJsonRoundTrips) {
   EXPECT_EQ(parsed.value().detail, repro.detail);
 }
 
+// The reader is strict: a wrong kind, an integer wider than the field and
+// an unknown key are errors, never a silently different configuration.
+TEST(Conformance, ReproJsonRejectsMalformed) {
+  LitmusRepro repro;
+  repro.name = "strict";
+  repro.text = "w0 L0 1";
+  const std::string json = repro.Write();
+  ASSERT_TRUE(LitmusRepro::Parse(json).ok());
+  const auto replaced = [&json](const std::string& from,
+                                const std::string& to) {
+    std::string text = json;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(LitmusRepro::Parse(
+                   replaced("\"enforce\": true", "\"enforce\": \"yes\""))
+                   .ok());
+  EXPECT_FALSE(LitmusRepro::Parse(replaced("\"weaken_checker\": 0",
+                                           "\"weaken_checker\": 4294967297"))
+                   .ok());
+  EXPECT_FALSE(LitmusRepro::Parse(replaced("\"detail\": \"\"",
+                                           "\"detail\": \"\", \"mutaton\": 1"))
+                   .ok());
+}
+
 TEST(Conformance, CheckedInCorpusReplays) {
   // Every repro under tests/litmus_corpus must still reproduce its recorded
   // disagreement (and the healthy configuration must stay clean).
@@ -165,6 +191,8 @@ TEST(Conformance, CheckedInCorpusReplays) {
     StatusOr<LitmusRepro> repro = LitmusRepro::Parse(buf.str());
     ASSERT_TRUE(repro.ok())
         << entry.path() << ": " << repro.status().message();
+    EXPECT_EQ(repro->Write(), buf.str())
+        << entry.path() << " does not round-trip byte for byte";
     const Status status = ReplayLitmusRepro(repro.value());
     EXPECT_TRUE(status.ok()) << entry.path() << ": " << status.message();
     ++replayed;

@@ -183,7 +183,7 @@ TEST(SlidingWindowTest, MergeAggregatesAndKeepsSlowestAcrossWindows) {
 
 TEST(SloSpecTest, WriteParseRoundTripsExactly) {
   SloSpec spec;
-  spec.name = "tight";
+  spec.name = "ti\"ght\\";
   spec.p99_ns = 1500.5;
   spec.max_error_rate = 0.02;
   spec.max_stall_fraction = 0.1;
@@ -195,7 +195,7 @@ TEST(SloSpecTest, WriteParseRoundTripsExactly) {
   auto parsed = ParseSloSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(WriteSloSpec(*parsed), text);
-  EXPECT_EQ(parsed->name, "tight");
+  EXPECT_EQ(parsed->name, "ti\"ght\\");
   EXPECT_DOUBLE_EQ(parsed->p99_ns, 1500.5);
   EXPECT_EQ(parsed->min_requests, 16u);
   EXPECT_EQ(parsed->slow_k, 3);
@@ -207,6 +207,9 @@ TEST(SloSpecTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_FALSE(ParseSloSpec("{\"max_error_rate\": 1.5}").ok());
   EXPECT_FALSE(ParseSloSpec("{\"window_ns\": 0}").ok());
   EXPECT_FALSE(ParseSloSpec("{\"slow_k\": -1}").ok());
+  EXPECT_FALSE(ParseSloSpec("{\"slow_k\": 0x3}").ok());
+  EXPECT_FALSE(ParseSloSpec("{\"min_requests\": 1e30}").ok())
+      << "not an integer, and far out of uint64 range";
   EXPECT_TRUE(ParseSloSpec("{}").ok()) << "all-defaults spec is valid";
 }
 

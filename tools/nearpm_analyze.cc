@@ -31,7 +31,6 @@
 //                       JSON shape (tools/check_bench.py gates these)
 //   --quiet             suppress the human text report on stdout
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -40,6 +39,7 @@
 
 #include "src/analyze/sanitizer.h"
 #include "src/analyze/trace_analyzer.h"
+#include "src/common/json.h"
 #include "src/core/runtime.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_fuzzer.h"
@@ -70,16 +70,6 @@ struct CliOptions {
   std::string bench_json;
   bool quiet = false;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool MatchFlag(const char* arg, const char* name, const char** value) {
   const std::size_t len = std::strlen(name);

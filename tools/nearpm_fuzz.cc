@@ -26,11 +26,11 @@
 // to prove the oracle has teeth).
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_fuzzer.h"
 #include "src/repl/repl_fuzzer.h"
@@ -64,16 +64,6 @@ struct CliOptions {
   bool break_intent_redo = false;
   bool skip_redo_persist = false;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool MatchFlag(const char* arg, const char* name, const char** value) {
   const std::size_t len = std::strlen(name);

@@ -25,7 +25,6 @@
 // catch a divergent implementation.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/spec/conformance.h"
 #include "src/spec/litmus.h"
 #include "src/spec/model.h"
@@ -58,16 +58,6 @@ struct CliOptions {
   bool recovery = true;
   std::uint64_t max_shrinks = 2;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool MatchFlag(const char* arg, const char* name, const char** value) {
   const std::size_t len = std::strlen(name);

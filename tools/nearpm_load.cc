@@ -59,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/stats.h"
 #include "src/obs/slo.h"
 #include "src/serve/service.h"
@@ -398,16 +399,6 @@ void AppendHist(std::string* out, const LoopResult& r) {
     const std::uint64_t upper = i == 0 ? 0 : (1ull << i) - 1;
     *out += std::to_string(upper) + " " + std::to_string(population) + "\n";
   }
-}
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 bool ParseDouble(const char* text, double* out) {

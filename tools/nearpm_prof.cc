@@ -25,12 +25,12 @@
 //   --raw-out=FILE      raw trace JSONL (re-consumable via --trace-in)
 //   --trace-out=FILE    Chrome trace-event JSON (Perfetto)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/core/runtime.h"
 #include "src/fuzz/corpus.h"
 #include "src/prof/profile.h"
@@ -60,16 +60,6 @@ struct CliOptions {
   std::string raw_out;
   std::string trace_out;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool MatchFlag(const char* arg, const char* name, const char** value) {
   const std::size_t len = std::strlen(name);

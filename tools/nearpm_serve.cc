@@ -25,7 +25,6 @@
 //                       (primary writes the backup's PM, NDP replays)
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
@@ -34,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/repl/service.h"
 #include "src/serve/service.h"
 
@@ -53,16 +53,6 @@ struct CliOptions {
   int replicas = 1;
   std::string protocol = "pb";
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool MatchFlag(const char* arg, const char* name, const char** value) {
   const std::size_t len = std::strlen(name);

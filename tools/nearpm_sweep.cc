@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/core/runtime.h"
 #include "src/fuzz/corpus.h"
 #include "src/hwmodel/hw_config.h"
@@ -77,16 +78,6 @@ struct Cell {
     return buf;
   }
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool ParseDoubleList(const char* text, std::vector<double>* out) {
   out->clear();

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/obs/flight_recorder.h"
 #include "src/prof/raw_trace.h"
 #include "src/prof/request_timeline.h"
@@ -291,9 +292,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
   } else {
-    char* end = nullptr;
-    trace_id = std::strtoull(request.c_str(), &end, 10);
-    if (end == request.c_str() || *end != '\0' || trace_id == 0) {
+    if (!ParseUint(request, &trace_id) || trace_id == 0) {
       return Usage(argv[0]);
     }
   }
