@@ -40,7 +40,7 @@ struct alignas(64) SlotHeader {
   std::uint64_t tag = 0;       // transaction id or checkpoint epoch
   std::uint64_t target = 0;    // address the payload restores to / applies to
   std::uint64_t size = 0;      // payload bytes
-  std::uint64_t checksum = 0;  // FNV-1a over the payload
+  std::uint64_t checksum = 0;  // Checksum64 of the payload
   std::uint8_t pad[24] = {};
 };
 static_assert(sizeof(SlotHeader) == 64);
@@ -103,7 +103,13 @@ class CcArea {
   PmAddr base_ = 0;
 };
 
-// FNV-1a, the payload checksum the metadata generator computes near memory.
+// The payload checksum the metadata generator computes near memory. It reads
+// 64-bit words (host byte order, the tail zero-padded) into four lanes, each
+// step an invertible xor-multiply-xorshift, then folds the lanes and the
+// length. A change confined to one 8-byte word of the payload therefore
+// always changes the mixed value. The result is that value, or 1 where it
+// would be 0, so it is never 0. Host work only: the cost model charges the
+// metadata generator, not this function, for it.
 std::uint64_t Checksum64(std::span<const std::uint8_t> data);
 
 // Serializes a SlotHeader / TxRecord / SwitchRecord into raw bytes (they are

@@ -1,6 +1,7 @@
 #include "src/core/runtime.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "src/sim/timeline.h"
@@ -47,6 +48,8 @@ Runtime::Runtime(const RuntimeOptions& options)
     devices_.push_back(std::make_unique<NearPmDevice>(
         static_cast<DeviceId>(d), &options_.hw, &space_));
   }
+  per_dev_.resize(devices_.size());
+  touched_.reserve(devices_.size());
 }
 
 // ---- Pools ------------------------------------------------------------------
@@ -196,60 +199,47 @@ void Runtime::Compute(ThreadId t, double ns) { stats_.Charge(t, ns); }
 
 // ---- NDP issue machinery ----------------------------------------------------
 
-std::vector<NdpWorkItem> Runtime::BuildWork(const NearPmRequest& request) {
-  std::vector<NdpWorkItem> work;
+std::span<const NdpWorkItem> Runtime::BuildWork(const NearPmRequest& request) {
+  work_.clear();
   switch (request.op) {
     case NearPmOp::kUndologCreate:
     case NearPmOp::kCkpointCreate: {
-      // Payload copy first, validity header last.
-      work.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy, request.addr,
-                                 CcArea::SlotData(request.dst), request.size,
-                                 {}});
-      scratch_.resize(request.size);
-      space_.NdpRead(request.addr, scratch_);
+      // Payload copy first, validity header last. The checksum reads the
+      // payload in place.
+      const PmAddr payload = CcArea::SlotData(request.dst);
+      work_.push_back(NdpWorkItem::Copy(request.addr, payload, request.size));
       SlotHeader header;
       header.magic = request.op == NearPmOp::kUndologCreate ? kUndoMagic
                                                             : kCkptMagic;
       header.tag = request.tag;
       header.target = request.addr;
       header.size = request.size;
-      header.checksum = Checksum64(scratch_);
-      NdpWorkItem lit;
-      lit.kind = NdpWorkItem::Kind::kLiteral;
-      lit.dst = request.dst;
-      const auto bytes = AsBytes(header);
-      lit.literal.assign(bytes.begin(), bytes.end());
-      work.push_back(std::move(lit));
+      header.checksum = Checksum64(space_.NdpView(request.addr, request.size));
+      work_.push_back(NdpWorkItem::Literal(request.dst, AsBytes(header)));
       break;
     }
-    case NearPmOp::kApplyLog:
-      work.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy,
-                                 CcArea::SlotData(request.addr), request.dst,
-                                 request.size,
-                                 {}});
+    case NearPmOp::kApplyLog: {
+      const PmAddr payload = CcArea::SlotData(request.addr);
+      work_.push_back(NdpWorkItem::Copy(payload, request.dst, request.size));
       break;
+    }
     case NearPmOp::kCommitLog: {
-      NdpWorkItem lit;
-      lit.kind = NdpWorkItem::Kind::kLiteral;
-      lit.dst = request.addr;
-      lit.literal.assign(kSlotHeaderSize, 0);
-      work.push_back(std::move(lit));
+      const std::array<std::uint8_t, kSlotHeaderSize> zero{};
+      work_.push_back(NdpWorkItem::Literal(request.addr, zero));
       break;
     }
     case NearPmOp::kShadowCpy:
     case NearPmOp::kRawCopy:
-      work.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy, request.addr,
-                                 request.dst, request.size,
-                                 {}});
+      work_.push_back(NdpWorkItem::Copy(request.addr, request.dst, request.size));
       break;
   }
-  return work;
+  return work_;
 }
 
 SimTime Runtime::IssueNdp(const NearPmRequest& request,
                           const AddrRange& read_range,
                           const AddrRange& write_range,
-                          const std::vector<NdpWorkItem>& work,
+                          std::span<const NdpWorkItem> work,
                           SimTime earliest, bool synchronous, bool deferred,
                           const analyze::SourceLoc& loc) {
   const ThreadId t = request.thread;
@@ -259,28 +249,23 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
 
   // Split every work item by the destination device; the memory controller
   // duplicates the command to all devices the operand touches.
-  const InterleaveMap& il = space_.interleave();
-  std::vector<std::vector<NdpWorkItem>> per_dev(devices_.size());
+  for (std::vector<NdpWorkItem>& items : per_dev_) {
+    items.clear();
+  }
   for (const NdpWorkItem& item : work) {
-    const std::uint64_t len =
-        item.kind == NdpWorkItem::Kind::kCopy ? item.size : item.literal.size();
-    for (const DeviceSlice& slice :
-         il.Split(AddrRange{item.dst, item.dst + len})) {
-      NdpWorkItem piece;
-      piece.kind = item.kind;
-      piece.dst = slice.global.begin;
-      const std::uint64_t offset = slice.global.begin - item.dst;
+    const AddrRange range{item.dst, item.dst + item.size};
+    space_.interleave().ForEachSlice(range, [&](const DeviceSlice& slice) {
+      const PmAddr dst = slice.global.begin;
+      const std::uint64_t offset = dst - item.dst;
+      const std::uint64_t len = slice.global.size();
+      std::vector<NdpWorkItem>& out = per_dev_[slice.device];
       if (item.kind == NdpWorkItem::Kind::kCopy) {
-        piece.src = item.src + offset;
-        piece.size = slice.global.size();
+        out.push_back(NdpWorkItem::Copy(item.src + offset, dst, len));
       } else {
-        piece.literal.assign(
-            item.literal.begin() + static_cast<std::ptrdiff_t>(offset),
-            item.literal.begin() +
-                static_cast<std::ptrdiff_t>(offset + slice.global.size()));
+        const auto bytes = item.literal_bytes().subspan(offset, len);
+        out.push_back(NdpWorkItem::Literal(dst, bytes));
       }
-      per_dev[slice.device].push_back(std::move(piece));
-    }
+    });
   }
 
   // Checked at the doorbell, after the write-back guard: any operand line
@@ -288,8 +273,8 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
   // (deferred) commands additionally check cross-device sync (NPM004).
   if (san_ != nullptr) {
     std::uint32_t touched_mask = 0;
-    for (std::size_t d = 0; d < per_dev.size() && d < 32; ++d) {
-      if (!per_dev[d].empty()) {
+    for (std::size_t d = 0; d < per_dev_.size() && d < 32; ++d) {
+      if (!per_dev_[d].empty()) {
         touched_mask |= 1u << d;
       }
     }
@@ -304,26 +289,24 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
   const SimTime post_time = stats_.now(t);
   SimTime cpu_now = post_time;
   SimTime completion = 0;
-  int participants = 0;
-  std::vector<DeviceId> touched;
+  touched_.clear();
   for (std::size_t d = 0; d < devices_.size(); ++d) {
-    if (per_dev[d].empty()) {
+    if (per_dev_[d].empty()) {
       continue;
     }
     const NearPmDevice::IssueResult res =
         deferred ? devices_[d]->IssueDeferred(request.seq, post_time,
-                                              write_range, per_dev[d],
+                                              write_range, per_dev_[d],
                                               earliest, request.op)
                  : devices_[d]->Issue(request.seq, post_time, read_range,
-                                      write_range, per_dev[d], earliest,
+                                      write_range, per_dev_[d], earliest,
                                       request.op);
     cpu_now = std::max(cpu_now, res.cpu_release);
     completion = std::max(completion, res.completion);
-    ++participants;
-    touched.push_back(static_cast<DeviceId>(d));
+    touched_.push_back(static_cast<DeviceId>(d));
   }
-  assert(participants > 0);
-  if (participants > 1) {
+  assert(!touched_.empty());
+  if (touched_.size() > 1) {
     // Multi-device handler: peers exchange status bits before the duplicated
     // command counts as complete (Figure 11).
     completion += NsToTime(options_.hw.cost.ndp_remote_status_ns);
@@ -340,7 +323,7 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
 
   if (synchronous) {
     stats_.StallUntil(t, completion);
-    for (DeviceId d : touched) {
+    for (DeviceId d : touched_) {
       space_.RetireRequest(d, request.seq);
     }
     journal_.Remove(request.seq);
@@ -392,8 +375,8 @@ Status Runtime::UndologCreate(PoolId pool, ThreadId t, std::uint64_t tx_id,
         space_.CpuWrite(item.dst, scratch_);
         space_.CpuPersist(item.dst, item.size);
       } else {
-        space_.CpuWrite(item.dst, item.literal);
-        space_.CpuPersist(item.dst, item.literal.size());
+        space_.CpuWrite(item.dst, item.literal_bytes());
+        space_.CpuPersist(item.dst, item.size);
       }
     }
     return Status::Ok();
@@ -440,10 +423,10 @@ Status Runtime::CommitLog(PoolId pool, ThreadId t,
   ++counters_.commit_log;
   stats_.SetCategory(t, CcCategory::kMetadata);
   if (!options_.UsesNdp()) {
+    const std::array<std::uint8_t, kSlotHeaderSize> zero{};
     for (PmAddr slot : slots) {
       stats_.ChargeAs(t, options_.hw.cost.cpu_log_delete_ns,
                       CcCategory::kMetadata);
-      std::vector<std::uint8_t> zero(kSlotHeaderSize, 0);
       space_.CpuWrite(slot, zero);
       space_.CpuPersist(slot, kSlotHeaderSize);
     }
@@ -537,8 +520,8 @@ StatusOr<SimTime> Runtime::CkpointCreate(PoolId pool, ThreadId t,
         space_.CpuWrite(item.dst, scratch_);
         space_.CpuPersist(item.dst, item.size);
       } else {
-        space_.CpuWrite(item.dst, item.literal);
-        space_.CpuPersist(item.dst, item.literal.size());
+        space_.CpuWrite(item.dst, item.literal_bytes());
+        space_.CpuPersist(item.dst, item.size);
       }
     }
     return stats_.now(t);
@@ -692,24 +675,20 @@ CrashReport Runtime::FinishCrash(CrashReport report, SimTime crash_time) {
                        .ts = crash_time, .seq = e.request.seq,
                        .arg0 = static_cast<std::uint64_t>(e.request.op));
     for (const NdpWorkItem& item : BuildWork(e.request)) {
-      const std::uint64_t len = item.kind == NdpWorkItem::Kind::kCopy
-                                    ? item.size
-                                    : item.literal.size();
-      for (const DeviceSlice& slice :
-           il.Split(AddrRange{item.dst, item.dst + len})) {
-        const std::uint64_t offset = slice.global.begin - item.dst;
+      const AddrRange range{item.dst, item.dst + item.size};
+      il.ForEachSlice(range, [&](const DeviceSlice& slice) {
+        const PmAddr dst = slice.global.begin;
+        const std::uint64_t offset = dst - item.dst;
+        const std::uint64_t len = slice.global.size();
         if (item.kind == NdpWorkItem::Kind::kCopy) {
-          scratch_.resize(slice.global.size());
+          scratch_.resize(len);
           space_.NdpRead(item.src + offset, scratch_);
-          space_.NdpWrite(slice.device, e.request.seq, slice.global.begin,
-                          scratch_);
+          space_.NdpWrite(slice.device, e.request.seq, dst, scratch_);
         } else {
-          space_.NdpWrite(
-              slice.device, e.request.seq, slice.global.begin,
-              std::span<const std::uint8_t>(item.literal)
-                  .subspan(offset, slice.global.size()));
+          const auto bytes = item.literal_bytes().subspan(offset, len);
+          space_.NdpWrite(slice.device, e.request.seq, dst, bytes);
         }
-      }
+      });
     }
   }
   // Replayed writes persisted before software recovery starts.

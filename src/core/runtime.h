@@ -204,13 +204,14 @@ class Runtime {
   // completion time. Updates clocks and journal.
   SimTime IssueNdp(const NearPmRequest& request,
                    const AddrRange& read_range, const AddrRange& write_range,
-                   const std::vector<NdpWorkItem>& work, SimTime earliest,
+                   std::span<const NdpWorkItem> work, SimTime earliest,
                    bool synchronous, bool deferred = false,
                    const analyze::SourceLoc& loc = {});
 
   // Builds the functional work decomposition of a request (used at issue
-  // time and again by hardware recovery replay).
-  std::vector<NdpWorkItem> BuildWork(const NearPmRequest& request);
+  // time and again by hardware recovery replay). The items live in `work_`
+  // and stay valid until the next call.
+  std::span<const NdpWorkItem> BuildWork(const NearPmRequest& request);
 
   // Shared post-failure path: hardware recovery replay, pipeline and clock
   // resets, trace epoch advance.
@@ -238,6 +239,11 @@ class Runtime {
   std::vector<PendingSync> pending_syncs_;
   PoolId next_pool_ = 1;
   std::vector<std::uint8_t> scratch_;
+  // Command-issue buffers, reused so issuing allocates nothing once grown:
+  // BuildWork's items, IssueNdp's per-device slices and touched devices.
+  std::vector<NdpWorkItem> work_;
+  std::vector<std::vector<NdpWorkItem>> per_dev_;
+  std::vector<DeviceId> touched_;
   TraceRecorder* trace_ = nullptr;
   analyze::PmSanitizer* san_ = nullptr;
 };

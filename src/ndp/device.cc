@@ -21,7 +21,7 @@ NearPmDevice::NearPmDevice(DeviceId id, const hwmodel::HwConfig* hw,
 
 NearPmDevice::IssueResult NearPmDevice::Issue(
     std::uint64_t seq, SimTime cpu_now, const AddrRange& read_range,
-    const AddrRange& write_range, const std::vector<NdpWorkItem>& work,
+    const AddrRange& write_range, std::span<const NdpWorkItem> work,
     SimTime earliest_start, NearPmOp op) {
   IssueResult result;
 
@@ -153,7 +153,7 @@ NearPmDevice::IssueResult NearPmDevice::Issue(
         break;
       }
       case NdpWorkItem::Kind::kLiteral:
-        space_->NdpWrite(id_, seq, item.dst, item.literal);
+        space_->NdpWrite(id_, seq, item.dst, item.literal_bytes());
         break;
     }
   }
@@ -186,7 +186,7 @@ SimTime NearPmDevice::HostAccessBarrier(const AddrRange& range, bool is_write,
 
 NearPmDevice::IssueResult NearPmDevice::IssueDeferred(
     std::uint64_t seq, SimTime cpu_now, const AddrRange& write_range,
-    const std::vector<NdpWorkItem>& work, SimTime earliest_start,
+    std::span<const NdpWorkItem> work, SimTime earliest_start,
     NearPmOp op) {
   IssueResult result;
   result.cpu_release = cpu_now + NsToTime(cost_->cmd_post_ns);
@@ -223,7 +223,7 @@ NearPmDevice::IssueResult NearPmDevice::IssueDeferred(
         break;
       }
       case NdpWorkItem::Kind::kLiteral:
-        space_->NdpWrite(id_, seq, item.dst, item.literal);
+        space_->NdpWrite(id_, seq, item.dst, item.literal_bytes());
         break;
     }
   }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
@@ -60,7 +61,7 @@ class NearPmDevice {
   // `op` only labels the request in the event trace.
   IssueResult Issue(std::uint64_t seq, SimTime cpu_now,
                     const AddrRange& read_range, const AddrRange& write_range,
-                    const std::vector<NdpWorkItem>& work,
+                    std::span<const NdpWorkItem> work,
                     SimTime earliest_start = 0,
                     NearPmOp op = NearPmOp::kRawCopy);
 
@@ -89,7 +90,7 @@ class NearPmDevice {
   // table.
   IssueResult IssueDeferred(std::uint64_t seq, SimTime cpu_now,
                             const AddrRange& write_range,
-                            const std::vector<NdpWorkItem>& work,
+                            std::span<const NdpWorkItem> work,
                             SimTime earliest_start,
                             NearPmOp op = NearPmOp::kCommitLog);
 

@@ -20,7 +20,7 @@ const char* NearPmOpName(NearPmOp op) {
   return "unknown";
 }
 
-double NdpWorkNs(const CostModel& cost, const std::vector<NdpWorkItem>& work) {
+double NdpWorkNs(const CostModel& cost, std::span<const NdpWorkItem> work) {
   double ns = cost.ndp_setup_ns;
   for (const NdpWorkItem& item : work) {
     switch (item.kind) {

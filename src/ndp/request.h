@@ -3,8 +3,11 @@
 #ifndef SRC_NDP_REQUEST_H_
 #define SRC_NDP_REQUEST_H_
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/common/types.h"
 #include "src/sim/cost_model.h"
@@ -39,17 +42,37 @@ struct NearPmRequest {
 // through the metadata generator / load-store unit. Items execute in order;
 // PmSpace records them in order, so a crash can truncate the sequence at any
 // prefix -- which is why validity metadata is always the *last* item.
+//
+// A literal is at most one slot header (a cacheline) and is held inline, so
+// building and splitting a command allocates nothing.
 struct NdpWorkItem {
   enum class Kind : std::uint8_t { kCopy, kLiteral };
+  static constexpr std::size_t kMaxLiteral = 64;
+
+  static NdpWorkItem Copy(PmAddr src, PmAddr dst, std::uint64_t size) {
+    return NdpWorkItem{Kind::kCopy, src, dst, size, {}};
+  }
+  // `bytes.size()` <= kMaxLiteral.
+  static NdpWorkItem Literal(PmAddr dst, std::span<const std::uint8_t> bytes) {
+    assert(bytes.size() <= kMaxLiteral);
+    NdpWorkItem item{Kind::kLiteral, 0, dst, bytes.size(), {}};
+    std::copy(bytes.begin(), bytes.end(), item.literal.begin());
+    return item;
+  }
+  std::span<const std::uint8_t> literal_bytes() const {
+    return std::span<const std::uint8_t>(literal).first(size);
+  }
+
   Kind kind = Kind::kCopy;
   PmAddr src = 0;  // kCopy only
   PmAddr dst = 0;
-  std::uint64_t size = 0;               // kCopy only
-  std::vector<std::uint8_t> literal;    // kLiteral only
+  // Bytes written at dst; a literal's are the first `size` of `literal`.
+  std::uint64_t size = 0;
+  std::array<std::uint8_t, kMaxLiteral> literal = {};
 };
 
 // Unit busy time for a sequence of work items under `cost`.
-double NdpWorkNs(const CostModel& cost, const std::vector<NdpWorkItem>& work);
+double NdpWorkNs(const CostModel& cost, std::span<const NdpWorkItem> work);
 
 }  // namespace nearpm
 

@@ -24,20 +24,7 @@ PmAddr InterleaveMap::LocalOffsetOf(PmAddr addr) const {
 
 std::vector<DeviceSlice> InterleaveMap::Split(const AddrRange& range) const {
   std::vector<DeviceSlice> out;
-  if (range.empty()) {
-    return out;
-  }
-  PmAddr cur = range.begin;
-  while (cur < range.end) {
-    const PmAddr stripe_end = AlignDown(cur, stripe_) + stripe_;
-    const PmAddr piece_end = stripe_end < range.end ? stripe_end : range.end;
-    out.push_back(DeviceSlice{
-        .device = DeviceOf(cur),
-        .global = AddrRange{cur, piece_end},
-        .local_offset = LocalOffsetOf(cur),
-    });
-    cur = piece_end;
-  }
+  ForEachSlice(range, [&out](const DeviceSlice& s) { out.push_back(s); });
   return out;
 }
 

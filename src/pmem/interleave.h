@@ -38,6 +38,20 @@ class InterleaveMap {
   // order. Used by the memory-controller model to duplicate a NearPM command
   // to every device the operand touches.
   std::vector<DeviceSlice> Split(const AddrRange& range) const;
+  // The same slices, handed to `fn` one by one without allocating.
+  template <typename Fn>
+  void ForEachSlice(const AddrRange& range, Fn&& fn) const {
+    for (PmAddr cur = range.begin; cur < range.end;) {
+      const PmAddr stripe_end = AlignDown(cur, stripe_) + stripe_;
+      const PmAddr piece_end = stripe_end < range.end ? stripe_end : range.end;
+      fn(DeviceSlice{
+          .device = DeviceOf(cur),
+          .global = AddrRange{cur, piece_end},
+          .local_offset = LocalOffsetOf(cur),
+      });
+      cur = piece_end;
+    }
+  }
 
   // True if the range maps to more than one device.
   bool Spans(const AddrRange& range) const;

@@ -34,9 +34,9 @@
 #ifndef SRC_PMEM_PM_SPACE_H_
 #define SRC_PMEM_PM_SPACE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <span>
 #include <unordered_map>
@@ -138,8 +138,14 @@ class PmSpace {
   // dispatcher orders conflicting requests and calls ObserveRange for the
   // read set explicitly before execution.
   void NdpRead(PmAddr addr, std::span<std::uint8_t> out) const {
-    CheckRange(addr, out.size());
-    std::memcpy(out.data(), current_ + addr, out.size());
+    const std::span<const std::uint8_t> src = NdpView(addr, out.size());
+    std::copy(src.begin(), src.end(), out.begin());
+  }
+  // The bytes NdpRead would copy out, read in place. The view is valid until
+  // the next write to the range.
+  std::span<const std::uint8_t> NdpView(PmAddr addr, std::uint64_t len) const {
+    CheckRange(addr, len);
+    return {current_ + addr, len};
   }
 
   // Declares that `request_seq` on `device` reads `range`. Guards crash

@@ -1,5 +1,7 @@
 #include "src/pmlib/shadow_provider.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "src/core/cc_stats.h"
@@ -16,14 +18,13 @@ ShadowPagingProvider::ShadowPagingProvider(const PmPool* pool)
 Status ShadowPagingProvider::Format(ThreadId t) {
   Runtime& rt = pool_->rt();
   const std::uint64_t pages = NumPages();
-  pte_cache_.assign(pages, 0);
-  page_used_.assign(pool_->phys_pages(), false);
+  pte_cache_.resize(pages);
   for (std::uint64_t v = 0; v < pages; ++v) {
     rt.Store<std::uint64_t>(t, PteAddr(v), v);
     pte_cache_[v] = v;
-    page_used_[v] = true;
   }
   rt.Persist(t, PteAddr(0), pages * 8);
+  MarkCommittedPages();
   // Disarm the switch records of every thread.
   for (ThreadId th = 0; th < threads_.size(); ++th) {
     const PmAddr rec = pool_->cc_area(th).SwitchRecordAddr();
@@ -34,13 +35,29 @@ Status ShadowPagingProvider::Format(ThreadId t) {
 }
 
 StatusOr<std::uint64_t> ShadowPagingProvider::AllocPhysPage() {
-  for (std::uint64_t p = 0; p < page_used_.size(); ++p) {
-    if (!page_used_[p]) {
-      page_used_[p] = true;
+  // Bits below the hint are all set, so the first clear bit from the hint's
+  // word on is the lowest free page.
+  for (std::size_t w = free_hint_ / 64; w < page_used_.size(); ++w) {
+    if (page_used_[w] != ~std::uint64_t{0}) {
+      const std::uint64_t p =
+          w * 64 + static_cast<std::uint64_t>(std::countr_one(page_used_[w]));
+      MarkPage(p, true);
+      free_hint_ = p + 1;
       return p;
     }
   }
+  free_hint_ = page_used_.size() * 64;
   return ResourceExhausted("no free physical pages for shadowing");
+}
+
+void ShadowPagingProvider::MarkPage(std::uint64_t ppage, bool used) {
+  const std::uint64_t bit = std::uint64_t{1} << (ppage % 64);
+  if (used) {
+    page_used_[ppage / 64] |= bit;
+  } else {
+    page_used_[ppage / 64] &= ~bit;
+    free_hint_ = std::min(free_hint_, ppage);
+  }
 }
 
 Status ShadowPagingProvider::BeginOp(ThreadId t) {
@@ -149,7 +166,7 @@ StatusOr<bool> ShadowPagingProvider::CommitOp(ThreadId t,
   rt.Store<std::uint64_t>(t, rec_addr, 0);
   rt.Persist(t, rec_addr, 8);
   for (const auto& [vpage, pages] : ts.shadowed) {
-    page_used_[pages.first] = false;
+    MarkPage(pages.first, false);
   }
   ts.shadowed.clear();
   NEARPM_TRACE_EVENT(rt.trace(), .phase = TracePhase::kOpCommit, .tid = t,
@@ -194,12 +211,22 @@ Status ShadowPagingProvider::Recover() {
 void ShadowPagingProvider::RebuildFreeBitmap() {
   Runtime& rt = pool_->rt();
   const std::uint64_t pages = NumPages();
-  pte_cache_.assign(pages, 0);
-  page_used_.assign(pool_->phys_pages(), false);
+  pte_cache_.resize(pages);
   for (std::uint64_t v = 0; v < pages; ++v) {
-    const auto ppage = rt.Load<std::uint64_t>(0, PteAddr(v));
-    pte_cache_[v] = ppage;
-    page_used_[ppage] = true;
+    pte_cache_[v] = rt.Load<std::uint64_t>(0, PteAddr(v));
+  }
+  MarkCommittedPages();
+}
+
+void ShadowPagingProvider::MarkCommittedPages() {
+  const std::uint64_t phys = pool_->phys_pages();
+  page_used_.assign((phys + 63) / 64, 0);
+  if (phys % 64 != 0) {
+    page_used_.back() = ~std::uint64_t{0} << (phys % 64);
+  }
+  free_hint_ = 0;
+  for (std::uint64_t ppage : pte_cache_) {
+    MarkPage(ppage, true);
   }
 }
 

@@ -60,17 +60,26 @@ class ShadowPagingProvider : public ConsistencyProvider {
   PmAddr PhysAddr(std::uint64_t ppage) const {
     return pool_->phys_base() + ppage * kPmPageSize;
   }
+  // The lowest free physical page. The page picks the device that serves
+  // the shadow copy, so the choice is part of the simulated timing.
   StatusOr<std::uint64_t> AllocPhysPage();
+  void MarkPage(std::uint64_t ppage, bool used);
+  // Reloads pte_cache_ from the page table, then MarkCommittedPages.
   void RebuildFreeBitmap();
+  // Marks exactly the pages pte_cache_ maps in use.
+  void MarkCommittedPages();
   Status RecoverThread(ThreadId t);
 
   const PmPool* pool_;
   std::vector<ThreadState> threads_;
-  //
 
   // Volatile caches of persistent state.
   std::vector<std::uint64_t> pte_cache_;   // committed vpage -> ppage
-  std::vector<bool> page_used_;
+  // One bit per physical page, set when in use; the bits past the last page
+  // are set so they are never handed out.
+  std::vector<std::uint64_t> page_used_;
+  // No page below this one is free.
+  std::uint64_t free_hint_ = 0;
   std::uint64_t rolled_forward_ = 0;
 };
 

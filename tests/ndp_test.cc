@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -260,12 +261,7 @@ struct DeviceFixture : public ::testing::Test {
   }
 
   std::vector<NdpWorkItem> CopyWork(PmAddr src, PmAddr dst, std::uint64_t n) {
-    NdpWorkItem item;
-    item.kind = NdpWorkItem::Kind::kCopy;
-    item.src = src;
-    item.dst = dst;
-    item.size = n;
-    return {item};
+    return {NdpWorkItem::Copy(src, dst, n)};
   }
 
   hwmodel::HwConfig hw;
@@ -379,11 +375,8 @@ TEST_F(DeviceFixture, FifoBackpressureStallsCpu) {
 
 TEST_F(DeviceFixture, WorkNsAccountsItems) {
   std::vector<NdpWorkItem> work = CopyWork(0, 4096, 1024);
-  NdpWorkItem lit;
-  lit.kind = NdpWorkItem::Kind::kLiteral;
-  lit.dst = 8192;
-  lit.literal.assign(64, 0);
-  work.push_back(lit);
+  const std::array<std::uint8_t, 64> zero{};
+  work.push_back(NdpWorkItem::Literal(8192, zero));
   const double ns = NdpWorkNs(cost, work);
   EXPECT_DOUBLE_EQ(
       ns, cost.ndp_setup_ns + 1024 * cost.ndp_dma_ns_per_byte +

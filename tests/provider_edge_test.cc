@@ -3,7 +3,9 @@
 // atomicity, pool layout arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -92,6 +94,90 @@ TEST(ChecksumTest, NeverZeroAndSensitive) {
   std::vector<std::uint8_t> b{1, 2, 4};
   EXPECT_NE(Checksum64(a), Checksum64(b));
   EXPECT_EQ(Checksum64(a), Checksum64(a));
+}
+
+// Payload sizes the properties below are checked at: every size through nine
+// words (each tail length, each lane position) and a full page.
+std::vector<std::size_t> ChecksumSizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 72; ++n) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(kMaxLogData);
+  return sizes;
+}
+
+// Seeded bytes, none of them zero (so zeroing any byte changes the data).
+std::vector<std::uint8_t> NonZeroBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> data(n);
+  for (std::uint8_t& b : data) {
+    b = static_cast<std::uint8_t>(1 + rng.NextBounded(255));
+  }
+  return data;
+}
+
+TEST(ChecksumTest, EveryBitFlipChangesValue) {
+  for (std::size_t n : ChecksumSizes()) {
+    std::vector<std::uint8_t> data = NonZeroBytes(n, n);
+    const std::uint64_t base = Checksum64(data);
+    EXPECT_NE(base, 0u);
+    std::size_t missed = 0;
+    for (std::size_t bit = 0; bit < n * 8; ++bit) {
+      data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      const std::uint64_t flipped = Checksum64(data);
+      missed += flipped == base || flipped == 0 ? 1 : 0;
+      data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(missed, 0u) << "size " << n;
+  }
+}
+
+TEST(ChecksumTest, TornTailChangesValue) {
+  for (std::size_t n : ChecksumSizes()) {
+    const std::vector<std::uint8_t> data = NonZeroBytes(n, 100 + n);
+    const std::uint64_t base = Checksum64(data);
+    std::size_t missed = 0;
+    for (std::size_t cut = 0; cut < n; ++cut) {
+      std::vector<std::uint8_t> torn = data;
+      for (std::size_t i = cut; i < n; ++i) {
+        torn[i] = 0;
+      }
+      const std::uint64_t value = Checksum64(torn);
+      missed += value == base || value == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(missed, 0u) << "size " << n;
+  }
+}
+
+// Zero padding of the tail word would let runs of zeros collide; the folded
+// length keeps every length apart, including n and n + 8 (one whole word).
+TEST(ChecksumTest, ZeroRunsOfDifferentLengthDiffer) {
+  const std::vector<std::uint8_t> zeros(kMaxLogData + 8, 0);
+  const std::span<const std::uint8_t> all(zeros);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n : ChecksumSizes()) {
+    lengths.push_back(n);
+    lengths.push_back(n + 8);
+  }
+  std::sort(lengths.begin(), lengths.end());
+  lengths.erase(std::unique(lengths.begin(), lengths.end()), lengths.end());
+  std::vector<std::uint64_t> values;
+  for (std::size_t n : lengths) {
+    values.push_back(Checksum64(all.first(n)));
+    EXPECT_NE(values.back(), 0u) << "size " << n;
+  }
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(std::unique(values.begin(), values.end()), values.end());
+}
+
+TEST(ChecksumTest, EmptySpanWithNullData) {
+  const std::span<const std::uint8_t> null_empty;
+  ASSERT_EQ(null_empty.data(), nullptr);
+  const std::uint8_t byte = 7;
+  EXPECT_NE(Checksum64(null_empty), 0u);
+  EXPECT_EQ(Checksum64(null_empty),
+            Checksum64(std::span<const std::uint8_t>(&byte, 0)));
 }
 
 // ---- Undo provider -------------------------------------------------------------
@@ -291,6 +377,56 @@ TEST(ShadowEdgeTest, TooManyPagesInOneOpRejected) {
     }
   }
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+}
+
+// The physical page a shadow lands on picks the device serving the copy, so
+// allocation order is part of the simulated timing: each new shadow page must
+// be the lowest page no committed PTE maps and no open shadow holds, also
+// after commits free pages out of order and after a restart rebuilds the
+// free map.
+TEST(ShadowEdgeTest, NewShadowPageIsLowestFree) {
+  Runtime rt(Opts());
+  PoolLayoutOptions lo;
+  // 40 window pages, 80 physical pages: the free map's second word is only
+  // partly backed by pages.
+  lo.data_size = 40 * kPmPageSize;
+  lo.shadow_physical_area = true;
+  auto pool = PmPool::Create(rt, 0, lo);
+  ASSERT_TRUE(pool.ok());
+  ShadowPagingProvider sp(&*pool);
+  ASSERT_TRUE(sp.Format(0).ok());
+  const std::uint64_t pages = lo.data_size / kPmPageSize;
+  Rng rng(5);
+  for (int op = 0; op < 60; ++op) {
+    if (op == 30) {
+      sp.DropVolatile();
+      ASSERT_TRUE(sp.Recover().ok());
+    }
+    std::vector<bool> used(pool->phys_pages(), false);
+    for (std::uint64_t v = 0; v < pages; ++v) {
+      used[rt.Load<std::uint64_t>(0, pool->page_table() + v * 8)] = true;
+    }
+    std::vector<std::uint64_t> vpages(pages);
+    for (std::uint64_t v = 0; v < pages; ++v) {
+      vpages[v] = v;
+    }
+    for (std::uint64_t i = pages - 1; i > 0; --i) {
+      std::swap(vpages[i], vpages[rng.NextBounded(i + 1)]);
+    }
+    vpages.resize(1 + rng.NextBounded(kMaxSwitchEntries));
+    ASSERT_TRUE(sp.BeginOp(0).ok());
+    for (std::uint64_t v : vpages) {
+      const auto lowest_free = static_cast<std::uint64_t>(
+          std::find(used.begin(), used.end(), false) - used.begin());
+      ASSERT_LT(lowest_free, used.size());
+      auto shadow = sp.PrepareStore(0, pool->data_base() + v * kPmPageSize, 8);
+      ASSERT_TRUE(shadow.ok());
+      EXPECT_EQ((*shadow - pool->phys_base()) / kPmPageSize, lowest_free)
+          << "op " << op << " vpage " << v;
+      used[lowest_free] = true;
+    }
+    ASSERT_TRUE(sp.CommitOp(0, {}).ok());
+  }
 }
 
 TEST(ShadowEdgeTest, ReadOnlyOpCommitsCheaply) {
