@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -220,6 +221,172 @@ TEST(ParseUintTest, ExactDecimalOnly) {
   EXPECT_EQ(n, 0u);
   ASSERT_TRUE(ParseUint("18446744073709551615", &n));
   EXPECT_EQ(n, UINT64_MAX);
+}
+
+// Every field kind a CLI binds, with the bounds the tools use.
+struct FlagFields {
+  std::string name = "default";
+  std::vector<std::string> traces;
+  int threads = 1;
+  std::uint32_t slots = 16;
+  std::uint64_t seed = 7;
+  double zipf = 0.99;
+  bool quiet = false;
+  bool enforce = true;
+  std::uint64_t systematic = 0;
+  std::vector<std::string> workloads = {"btree"};
+  std::vector<int> units = {2, 4};
+  std::vector<double> gbps = {2.0};
+
+  std::vector<flags::Flag> Table() {
+    return {
+        {"--name", &name, "NAME", "a string"},
+        {"--trace-in", flags::Repeated{&traces}, "FILE", "repeatable"},
+        {"--threads", &threads, "N", "int, at least 1", 1},
+        {"--slots", &slots, "N", "uint32"},
+        {"--seed", &seed, "N", "uint64"},
+        {"--zipf", &zipf, "T", "finite double"},
+        {"--quiet", flags::Switch{&quiet}, "", "switch"},
+        {"--enforce-ppo", flags::Bool01{&enforce}, "0|1", "bool"},
+        {"--systematic", flags::OptionalUint{&systematic, 6}, "OPS", "opt"},
+        {"--workloads", &workloads, "A,B", "name list"},
+        {"--units", &units, "LIST", "int list", 1},
+        {"--axi-gbps", &gbps, "LIST", "double list"},
+    };
+  }
+
+  Status Parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "tool");
+    return flags::Parse(static_cast<int>(args.size()), args.data(), Table());
+  }
+};
+
+TEST(FlagsTest, EveryKindReadsItsValue) {
+  FlagFields f;
+  ASSERT_TRUE(f.Parse({"--name=x", "--trace-in=a", "--threads=3",
+                       "--slots=9", "--seed=18446744073709551615",
+                       "--zipf=0.5", "--quiet", "--enforce-ppo=0",
+                       "--workloads=btree,hashmap", "--units=1,8",
+                       "--axi-gbps=2.5,8"})
+                  .ok());
+  EXPECT_EQ(f.name, "x");
+  EXPECT_EQ(f.traces, std::vector<std::string>{"a"});
+  EXPECT_EQ(f.threads, 3);
+  EXPECT_EQ(f.slots, 9u);
+  EXPECT_EQ(f.seed, UINT64_MAX);
+  EXPECT_EQ(f.zipf, 0.5);
+  EXPECT_TRUE(f.quiet);
+  EXPECT_FALSE(f.enforce);
+  EXPECT_EQ(f.workloads, (std::vector<std::string>{"btree", "hashmap"}));
+  EXPECT_EQ(f.units, (std::vector<int>{1, 8}));
+  EXPECT_EQ(f.gbps, (std::vector<double>{2.5, 8.0}));
+  ASSERT_TRUE(f.Parse({"--enforce-ppo=1", "--name=y"}).ok());
+  EXPECT_TRUE(f.enforce);
+  EXPECT_EQ(f.name, "y") << "the last occurrence of a scalar flag wins";
+}
+
+TEST(FlagsTest, IntegerBoundsAreTheFieldsOwn) {
+  FlagFields f;
+  EXPECT_TRUE(f.Parse({"--threads=1"}).ok());
+  EXPECT_TRUE(f.Parse({"--threads=2147483647"}).ok());
+  EXPECT_EQ(f.threads, 2147483647);
+  for (const char* bad :
+       {"--threads=0", "--threads=2147483648", "--threads=4294967296",
+        "--threads=4294967297", "--threads=-1", "--threads=1e1",
+        "--threads=+2", "--threads=0x10"}) {
+    const Status st = f.Parse({bad});
+    EXPECT_FALSE(st.ok()) << bad;
+    EXPECT_NE(st.message().find(bad), std::string::npos) << st.message();
+  }
+  EXPECT_EQ(f.threads, 2147483647) << "a rejected value leaves the field";
+  EXPECT_TRUE(f.Parse({"--slots=0"}).ok());
+  EXPECT_TRUE(f.Parse({"--slots=4294967295"}).ok());
+  EXPECT_EQ(f.slots, 4294967295u);
+  EXPECT_FALSE(f.Parse({"--slots=4294967296"}).ok());
+  EXPECT_FALSE(f.Parse({"--seed=18446744073709551616"}).ok());
+  EXPECT_FALSE(f.Parse({"--units=2,4294967297"}).ok());
+  EXPECT_FALSE(f.Parse({"--units=0,4"}).ok()) << "list elements obey min";
+  EXPECT_FALSE(f.Parse({"--units=1e1"}).ok());
+  EXPECT_EQ(f.units, (std::vector<int>{2, 4})) << "a bad list changes nothing";
+}
+
+TEST(FlagsTest, DoublesMustBeFiniteAndNonNegative) {
+  FlagFields f;
+  EXPECT_TRUE(f.Parse({"--zipf=0"}).ok());
+  EXPECT_TRUE(f.Parse({"--zipf=1.5e0"}).ok());
+  EXPECT_EQ(f.zipf, 1.5);
+  for (const char* bad : {"--zipf=nan", "--zipf=inf", "--zipf=-0.5",
+                          "--zipf=1e999", "--zipf=0.5x", "--zipf= 1",
+                          "--axi-gbps=nan", "--axi-gbps=2,inf"}) {
+    EXPECT_FALSE(f.Parse({bad}).ok()) << bad;
+  }
+  EXPECT_EQ(f.zipf, 1.5);
+  EXPECT_EQ(f.gbps, std::vector<double>{2.0});
+}
+
+TEST(FlagsTest, SwitchesAndBoolsTakeOnlyTheirForms) {
+  FlagFields f;
+  for (const char* bad : {"--quiet=0", "--quiet=1", "--quiet=",
+                          "--enforce-ppo", "--enforce-ppo=false",
+                          "--enforce-ppo=2", "--enforce-ppo="}) {
+    EXPECT_FALSE(f.Parse({bad}).ok()) << bad;
+  }
+  EXPECT_FALSE(f.quiet);
+  EXPECT_TRUE(f.enforce);
+}
+
+TEST(FlagsTest, OptionalIntegerTakesBothForms) {
+  FlagFields f;
+  ASSERT_TRUE(f.Parse({"--systematic"}).ok());
+  EXPECT_EQ(f.systematic, 6u);
+  ASSERT_TRUE(f.Parse({"--systematic=8"}).ok());
+  EXPECT_EQ(f.systematic, 8u);
+  EXPECT_FALSE(f.Parse({"--systematic="}).ok());
+  EXPECT_FALSE(f.Parse({"--systematic=x"}).ok());
+}
+
+TEST(FlagsTest, RejectsMissingValuesUnknownFlagsAndEmptyLists) {
+  FlagFields f;
+  const Status missing = f.Parse({"--seed"});
+  EXPECT_FALSE(missing.ok());
+  EXPECT_NE(missing.message().find("--seed=N"), std::string::npos)
+      << missing.message();
+  for (const char* bad : {"--name=", "--no-such-flag", "--seeds=1", "--see=1",
+                          "seed=1", "-seed=1", "--workloads=",
+                          "--workloads=btree,", "--workloads=,btree",
+                          "--units=", "--units=2,,4", "--axi-gbps=,"}) {
+    const Status st = f.Parse({bad});
+    EXPECT_FALSE(st.ok()) << bad;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find(bad), std::string::npos) << st.message();
+  }
+  EXPECT_EQ(f.name, "default");
+  EXPECT_EQ(f.workloads, std::vector<std::string>{"btree"});
+}
+
+TEST(FlagsTest, RepeatedFlagAppendsEveryOccurrence) {
+  FlagFields f;
+  ASSERT_TRUE(
+      f.Parse({"--trace-in=a:x.jsonl", "--trace-in=b.jsonl", "--trace-in=a"})
+          .ok());
+  EXPECT_EQ(f.traces,
+            (std::vector<std::string>{"a:x.jsonl", "b.jsonl", "a"}));
+}
+
+TEST(FlagsTest, UsageNamesEveryRow) {
+  FlagFields f;
+  const std::vector<flags::Flag> table = f.Table();
+  const std::string usage = flags::Usage("tool", table);
+  EXPECT_EQ(usage.rfind("usage: tool ", 0), 0u) << usage;
+  for (const flags::Flag& row : table) {
+    EXPECT_NE(usage.find(std::string("  ") + row.name), std::string::npos)
+        << row.name;
+    EXPECT_NE(usage.find(row.help), std::string::npos) << row.help;
+  }
+  EXPECT_NE(usage.find("--threads=N "), std::string::npos);
+  EXPECT_NE(usage.find("--systematic[=OPS] "), std::string::npos);
+  EXPECT_NE(usage.find("--quiet "), std::string::npos);
+  EXPECT_EQ(usage.find("--quiet="), std::string::npos);
 }
 
 TEST(JsonTest, ParsesNestedObjectsInOrder) {

@@ -8,28 +8,8 @@
 // contract (then a *clean* run is the failure; CI uses this to prove the
 // analyzer still has teeth against the enforce_ppo=false ablation).
 //
-//   --workload=NAME     workload to run (default btree; see src/workloads)
-//   --mechanism=NAME    logging | redo | checkpointing | cow (default logging)
-//   --mode=NAME         baseline | nearpm_sd | nearpm_md_swsync | nearpm_md
-//                       (default nearpm_md)
-//   --ops=N             operations after setup (default 200)
-//   --threads=N         application threads (default 1)
-//   --units=N           NearPM units per device (default 4)
-//   --initial-keys=N    setup population (default 200)
-//   --seed=N            workload RNG seed (default 7)
-//   --enforce-ppo=0|1   disable/enable PPO ordering (default 1; 0 is the
-//                       Section 2.3 ablation the analyzer must flag)
-//   --trace-in=FILE     analyze a raw trace JSONL instead of running anything
-//   --corpus=DIR        replay every crash repro under the rule engine
-//                       (bank-kind live; serve-/repl-kind via per-machine
-//                       trace snapshots)
-//   --suppress=SPEC     suppression (repeatable): "NPM005" or "NPM005:file"
-//   --expect-findings   exit 0 iff at least one unsuppressed finding fired
-//   --sarif=FILE        write a SARIF 2.1.0 document ("-" = stdout)
-//   --json-out=FILE     write the nearpm-analyze-v1 JSON report
-//   --bench-json=FILE   write deterministic hook counters in google-benchmark
-//                       JSON shape (tools/check_bench.py gates these)
-//   --quiet             suppress the human text report on stdout
+// The flag table in AnalyzeMain() documents every flag and its default; a bad
+// flag prints it.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,7 +19,7 @@
 
 #include "src/analyze/sanitizer.h"
 #include "src/analyze/trace_analyzer.h"
-#include "src/common/json.h"
+#include "src/common/flags.h"
 #include "src/core/runtime.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_fuzzer.h"
@@ -70,28 +50,6 @@ struct CliOptions {
   std::string bench_json;
   bool quiet = false;
 };
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--workload=NAME] [--mechanism=NAME] [--mode=NAME]\n"
-      "          [--ops=N] [--threads=N] [--units=N] [--initial-keys=N]\n"
-      "          [--seed=N] [--enforce-ppo=0|1] [--trace-in=FILE]\n"
-      "          [--corpus=DIR] [--suppress=SPEC]... [--expect-findings]\n"
-      "          [--sarif=FILE] [--json-out=FILE] [--bench-json=FILE]\n"
-      "          [--quiet]\n",
-      argv0);
-  return 2;
-}
 
 bool WriteOutput(const std::string& path, const std::string& text) {
   if (path == "-") {
@@ -327,50 +285,32 @@ int RunCorpus(const CliOptions& cli) {
 
 int AnalyzeMain(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    std::uint64_t n = 0;
-    if (MatchFlag(argv[i], "--workload", &value)) {
-      cli.workload = value;
-    } else if (MatchFlag(argv[i], "--mechanism", &value)) {
-      cli.mechanism = value;
-    } else if (MatchFlag(argv[i], "--mode", &value)) {
-      cli.mode = value;
-    } else if (MatchFlag(argv[i], "--ops", &value)) {
-      if (!ParseUint(value, &cli.ops)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--threads", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.threads = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--units", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.units = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--initial-keys", &value)) {
-      if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--seed", &value)) {
-      if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--enforce-ppo", &value)) {
-      if (!ParseUint(value, &n) || n > 1) return Usage(argv[0]);
-      cli.enforce_ppo = n != 0;
-    } else if (MatchFlag(argv[i], "--trace-in", &value)) {
-      cli.trace_in = value;
-    } else if (MatchFlag(argv[i], "--corpus", &value)) {
-      cli.corpus = value;
-    } else if (MatchFlag(argv[i], "--suppress", &value)) {
-      cli.suppressions.emplace_back(value);
-    } else if (std::strcmp(argv[i], "--expect-findings") == 0) {
-      cli.expect_findings = true;
-    } else if (MatchFlag(argv[i], "--sarif", &value)) {
-      cli.sarif_out = value;
-    } else if (MatchFlag(argv[i], "--json-out", &value)) {
-      cli.json_out = value;
-    } else if (MatchFlag(argv[i], "--bench-json", &value)) {
-      cli.bench_json = value;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      cli.quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--workload", &cli.workload, "NAME", "workload to run (default btree)"},
+      {"--mechanism", &cli.mechanism, "NAME", "mechanism (default logging)"},
+      {"--mode", &cli.mode, "NAME", "execution mode (default nearpm_md)"},
+      {"--ops", &cli.ops, "N", "operations after setup (default 200)"},
+      {"--threads", &cli.threads, "N", "application threads (default 1)", 1},
+      {"--units", &cli.units, "N", "NearPM units per device (default 4)", 1},
+      {"--initial-keys", &cli.initial_keys, "N", "setup keys (default 200)"},
+      {"--seed", &cli.seed, "N", "workload RNG seed (default 7)"},
+      {"--enforce-ppo", flags::Bool01{&cli.enforce_ppo}, "0|1",
+       "PPO ordering (default 1; 0 is the Section 2.3 ablation)"},
+      {"--trace-in", &cli.trace_in, "FILE", "analyze this raw trace instead"},
+      {"--corpus", &cli.corpus, "DIR",
+       "replay every crash repro under DIR through the rule engine"},
+      {"--suppress", flags::Repeated{&cli.suppressions}, "SPEC",
+       "NPM005 or NPM005:file (repeatable)"},
+      {"--expect-findings", flags::Switch{&cli.expect_findings}, "",
+       "exit 0 iff an unsuppressed finding fired"},
+      {"--sarif", &cli.sarif_out, "FILE", "SARIF 2.1.0 document (- = stdout)"},
+      {"--json-out", &cli.json_out, "FILE", "nearpm-analyze-v1 JSON report"},
+      {"--bench-json", &cli.bench_json, "FILE",
+       "hook counters in google-benchmark JSON (check_bench.py)"},
+      {"--quiet", flags::Switch{&cli.quiet}, "", "no human text report"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
 
   if (!cli.corpus.empty()) {

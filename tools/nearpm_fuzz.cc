@@ -26,10 +26,10 @@
 // to prove the oracle has teeth).
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/json.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_fuzzer.h"
@@ -51,7 +51,7 @@ struct CliOptions {
   bool enforce_ppo = true;
   bool break_recovery = false;
   bool expect_failures = false;
-  bool have_replay = false;
+  std::string replay;  // SEED:CASE
   std::uint64_t replay_seed = 0;
   std::uint64_t replay_case = 0;
   std::string corpus_dir;
@@ -64,40 +64,6 @@ struct CliOptions {
   bool break_intent_redo = false;
   bool skip_redo_persist = false;
 };
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) {
-    return false;
-  }
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--seeds=N] [--first-seed=S] [--cases-per-seed=K]\n"
-      "          [--systematic=OPS] [--max-candidates=N]\n"
-      "          [--mechanism=logging|redo_logging|checkpointing|"
-      "shadow_paging|all]\n"
-      "          [--mode=baseline|nearpm_sd|nearpm_md_swsync|nearpm_md|all]\n"
-      "          [--enforce-ppo=0|1] [--break-recovery]\n"
-      "          [--replay=SEED:CASE] [--corpus=DIR] [--out=DIR]\n"
-      "          [--expect-failures]\n"
-      "          [--repl [--protocol=pb|redo|all] [--repl-groups=G]\n"
-      "           [--repl-replicas=K] [--break-intent-redo]\n"
-      "           [--skip-redo-persist]]\n",
-      argv0);
-  return 2;
-}
 
 std::string MaskToString(const std::vector<bool>& mask) {
   std::string s;
@@ -283,68 +249,47 @@ int RunReplSweep(const CliOptions& cli) {
 
 int FuzzMain(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (MatchFlag(arg, "--seeds", &value) && value != nullptr) {
-      if (!ParseUint(value, &cli.seeds)) return Usage(argv[0]);
-    } else if (MatchFlag(arg, "--first-seed", &value) && value != nullptr) {
-      if (!ParseUint(value, &cli.first_seed)) return Usage(argv[0]);
-    } else if (MatchFlag(arg, "--cases-per-seed", &value) && value != nullptr) {
-      std::uint64_t n = 0;
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.cases_per_seed = static_cast<int>(n);
-    } else if (MatchFlag(arg, "--systematic", &value)) {
-      cli.systematic_ops = 6;
-      if (value != nullptr && !ParseUint(value, &cli.systematic_ops)) {
-        return Usage(argv[0]);
-      }
-    } else if (MatchFlag(arg, "--max-candidates", &value) && value != nullptr) {
-      std::uint64_t n = 0;
-      if (!ParseUint(value, &n)) return Usage(argv[0]);
-      cli.max_candidates = static_cast<std::size_t>(n);
-    } else if (MatchFlag(arg, "--mechanism", &value) && value != nullptr) {
-      cli.mechanism = value;
-    } else if (MatchFlag(arg, "--mode", &value) && value != nullptr) {
-      cli.mode = value;
-    } else if (MatchFlag(arg, "--enforce-ppo", &value) && value != nullptr) {
-      cli.enforce_ppo = std::strcmp(value, "0") != 0;
-    } else if (MatchFlag(arg, "--break-recovery", &value)) {
-      cli.break_recovery = true;
-    } else if (MatchFlag(arg, "--expect-failures", &value)) {
-      cli.expect_failures = true;
-    } else if (MatchFlag(arg, "--replay", &value) && value != nullptr) {
-      const char* colon = std::strchr(value, ':');
-      if (colon == nullptr) return Usage(argv[0]);
-      const std::string seed_text(value, colon);
-      if (!ParseUint(seed_text.c_str(), &cli.replay_seed) ||
-          !ParseUint(colon + 1, &cli.replay_case)) {
-        return Usage(argv[0]);
-      }
-      cli.have_replay = true;
-    } else if (MatchFlag(arg, "--corpus", &value) && value != nullptr) {
-      cli.corpus_dir = value;
-    } else if (MatchFlag(arg, "--out", &value) && value != nullptr) {
-      cli.out_dir = value;
-    } else if (MatchFlag(arg, "--repl", &value)) {
-      cli.repl = true;
-    } else if (MatchFlag(arg, "--protocol", &value) && value != nullptr) {
-      cli.protocol = value;
-    } else if (MatchFlag(arg, "--repl-groups", &value) && value != nullptr) {
-      std::uint64_t n = 0;
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.repl_groups = static_cast<int>(n);
-    } else if (MatchFlag(arg, "--repl-replicas", &value) && value != nullptr) {
-      std::uint64_t n = 0;
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.repl_replicas = static_cast<int>(n);
-    } else if (MatchFlag(arg, "--break-intent-redo", &value)) {
-      cli.break_intent_redo = true;
-    } else if (MatchFlag(arg, "--skip-redo-persist", &value)) {
-      cli.skip_redo_persist = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg);
-      return Usage(argv[0]);
+  const flags::Flag table[] = {
+      {"--seeds", &cli.seeds, "N", "random sweep over N seeds (default 20)"},
+      {"--first-seed", &cli.first_seed, "S", "first seed (default 1)"},
+      {"--cases-per-seed", &cli.cases_per_seed, "K",
+       "cases per seed (default 3)", 1},
+      {"--systematic", flags::OptionalUint{&cli.systematic_ops, 6}, "OPS",
+       "crash-point sweep of one OPS-long schedule (bare: 6)"},
+      {"--max-candidates", &cli.max_candidates, "N",
+       "crash candidates per systematic step (default 24)"},
+      {"--mechanism", &cli.mechanism, "NAME", "one mechanism (default all)"},
+      {"--mode", &cli.mode, "NAME", "one execution mode (default all)"},
+      {"--enforce-ppo", flags::Bool01{&cli.enforce_ppo}, "0|1",
+       "PPO ordering (default 1; 0 is the Section 2.3 ablation)"},
+      {"--break-recovery", flags::Switch{&cli.break_recovery}, "",
+       "fault-inject the hardware recovery"},
+      {"--replay", &cli.replay, "SEED:CASE", "re-run exactly one sweep case"},
+      {"--corpus", &cli.corpus_dir, "DIR", "replay every repro under DIR"},
+      {"--out", &cli.out_dir, "DIR", "persist shrunk failures as corpus JSON"},
+      {"--expect-failures", flags::Switch{&cli.expect_failures}, "",
+       "succeed only if every configuration fails"},
+      {"--repl", flags::Switch{&cli.repl}, "", "replicated-cluster sweep"},
+      {"--protocol", &cli.protocol, "NAME", "pb|redo|all (default all)"},
+      {"--repl-groups", &cli.repl_groups, "G", "replica groups (default 2)", 1},
+      {"--repl-replicas", &cli.repl_replicas, "K",
+       "replicas per group (default 2)", 1},
+      {"--break-intent-redo", flags::Switch{&cli.break_intent_redo}, "",
+       "--repl recovery ablation"},
+      {"--skip-redo-persist", flags::Switch{&cli.skip_redo_persist}, "",
+       "--repl persist ablation"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
+  }
+  if (!cli.replay.empty()) {
+    const std::string_view replay = cli.replay;
+    const std::size_t colon = replay.find(':');
+    if (colon == std::string_view::npos ||
+        !ParseUint(replay.substr(0, colon), &cli.replay_seed) ||
+        !ParseUint(replay.substr(colon + 1), &cli.replay_case)) {
+      return flags::UsageError(argv[0], table,
+                               InvalidArgument("--replay wants SEED:CASE"));
     }
   }
 
@@ -362,8 +307,7 @@ int FuzzMain(int argc, char** argv) {
   } else {
     auto m = MechanismFromName(cli.mechanism);
     if (!m.ok()) {
-      std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
-      return Usage(argv[0]);
+      return flags::UsageError(argv[0], table, m.status());
     }
     mechanisms = {*m};
   }
@@ -374,8 +318,7 @@ int FuzzMain(int argc, char** argv) {
   } else {
     auto m = ExecModeFromName(cli.mode);
     if (!m.ok()) {
-      std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
-      return Usage(argv[0]);
+      return flags::UsageError(argv[0], table, m.status());
     }
     modes = {*m};
   }
@@ -395,7 +338,7 @@ int FuzzMain(int argc, char** argv) {
 
       std::vector<FuzzFailure> failures;
       SweepStats stats;
-      if (cli.have_replay) {
+      if (!cli.replay.empty()) {
         const FuzzCase c =
             fuzzer.BuildSweepCase(cli.replay_seed, cli.replay_case);
         const CaseResult r = fuzzer.Run(c);

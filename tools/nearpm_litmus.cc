@@ -25,14 +25,13 @@
 // catch a divergent implementation.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/json.h"
+#include "src/common/flags.h"
 #include "src/spec/conformance.h"
 #include "src/spec/litmus.h"
 #include "src/spec/model.h"
@@ -50,42 +49,14 @@ struct CliOptions {
   bool systematic = false;
   std::string enforce = "both";
   std::string mutate_spec = "none";
-  std::uint64_t weaken_checker = 0;
+  std::uint32_t weaken_checker = 0;
   bool expect_disagreements = false;
   std::string out_dir;
   std::uint64_t max_candidates = 64;
   std::uint64_t max_masks = 6;
-  bool recovery = true;
+  bool no_recovery = false;
   std::uint64_t max_shrinks = 2;
 };
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) {
-    return false;
-  }
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--generate] [--corpus=DIR] [--replay=FILE]\n"
-               "          [--seed=N] [--count=N] [--systematic]\n"
-               "          [--enforce=both|on|off] [--mutate-spec=NAME]\n"
-               "          [--weaken-checker=MASK] [--expect-disagreements]\n"
-               "          [--out=DIR] [--max-candidates=N] [--max-masks=N]\n"
-               "          [--no-recovery] [--max-shrinks=N]\n",
-               argv0);
-  return 2;
-}
 
 std::string SanitizeFileName(std::string name) {
   for (char& c : name) {
@@ -214,10 +185,10 @@ int RunConformance(const CliOptions& cli) {
       ConformanceConfig config;
       config.enforce = enforce;
       config.mutation = mutation;
-      config.weaken_checker = static_cast<std::uint32_t>(cli.weaken_checker);
+      config.weaken_checker = cli.weaken_checker;
       config.max_crash_candidates = cli.max_candidates;
       config.max_masks = cli.max_masks;
-      config.check_recovery = cli.recovery;
+      config.check_recovery = !cli.no_recovery;
       const std::vector<Disagreement> found =
           CheckProgram(program, config, &stats);
       if (found.empty()) {
@@ -281,46 +252,32 @@ int RunConformance(const CliOptions& cli) {
 
 int Main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (MatchFlag(argv[i], "--generate", &value)) {
-      cli.generate = true;
-    } else if (MatchFlag(argv[i], "--corpus", &value) && value != nullptr) {
-      cli.corpus_dir = value;
-    } else if (MatchFlag(argv[i], "--replay", &value) && value != nullptr) {
-      cli.replay_file = value;
-    } else if (MatchFlag(argv[i], "--seed", &value) && value != nullptr) {
-      if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--count", &value) && value != nullptr) {
-      if (!ParseUint(value, &cli.count)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--systematic", &value)) {
-      cli.systematic = true;
-    } else if (MatchFlag(argv[i], "--enforce", &value) && value != nullptr) {
-      cli.enforce = value;
-    } else if (MatchFlag(argv[i], "--mutate-spec", &value) &&
-               value != nullptr) {
-      cli.mutate_spec = value;
-    } else if (MatchFlag(argv[i], "--weaken-checker", &value) &&
-               value != nullptr) {
-      if (!ParseUint(value, &cli.weaken_checker)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--expect-disagreements", &value)) {
-      cli.expect_disagreements = true;
-    } else if (MatchFlag(argv[i], "--out", &value) && value != nullptr) {
-      cli.out_dir = value;
-    } else if (MatchFlag(argv[i], "--max-candidates", &value) &&
-               value != nullptr) {
-      if (!ParseUint(value, &cli.max_candidates)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--max-masks", &value) && value != nullptr) {
-      if (!ParseUint(value, &cli.max_masks)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--no-recovery", &value)) {
-      cli.recovery = false;
-    } else if (MatchFlag(argv[i], "--max-shrinks", &value) &&
-               value != nullptr) {
-      if (!ParseUint(value, &cli.max_shrinks)) return Usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--generate", flags::Switch{&cli.generate}, "",
+       "print the litmus batch and exit"},
+      {"--corpus", &cli.corpus_dir, "DIR", "replay every repro JSON under DIR"},
+      {"--replay", &cli.replay_file, "FILE", "replay one repro file"},
+      {"--seed", &cli.seed, "N", "generator seed (default 1)"},
+      {"--count", &cli.count, "N", "programs in the batch (default 64)"},
+      {"--systematic", flags::Switch{&cli.systematic}, "",
+       "at least 500 programs (the CI gate)"},
+      {"--enforce", &cli.enforce, "both|on|off", "runtime legs (default both)"},
+      {"--mutate-spec", &cli.mutate_spec, "NAME",
+       "atomic-requests|writes-durable|no-races (default none)"},
+      {"--weaken-checker", &cli.weaken_checker, "MASK",
+       "bit i-1 disables PpoChecker invariant i (default 0)"},
+      {"--expect-disagreements", flags::Switch{&cli.expect_disagreements}, "",
+       "succeed only if a disagreement is found"},
+      {"--out", &cli.out_dir, "DIR", "persist shrunk disagreements"},
+      {"--max-candidates", &cli.max_candidates, "N",
+       "crash candidates per prefix (default 64)"},
+      {"--max-masks", &cli.max_masks, "N", "masks per crash point (default 6)"},
+      {"--no-recovery", flags::Switch{&cli.no_recovery}, "",
+       "skip the recovery differential"},
+      {"--max-shrinks", &cli.max_shrinks, "N", "shrunk repros (default 2)"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
   if (cli.generate) {
     const std::size_t min_programs =

@@ -23,26 +23,8 @@
 // Exit code is nonzero when either loop makes no progress or any shard's
 // trace fails the PPO audit -- load must never outrun correctness.
 //
-//   --mode=closed|open|both   which load models to run (default both)
-//   --shards=N                serving shards (default 4)
-//   --workers=N               OS worker threads per shard (default 2)
-//   --queue=N                 per-shard ring capacity (default 256)
-//   --batch=N                 requests per doorbell/fence (default 8)
-//   --clients=N               closed-loop client threads (default 4)
-//   --requests=N              requests per loop (default 100000)
-//   --keys=N                  keyspace size (default 4096)
-//   --table-slots=N           per-shard table capacity (default 4096)
-//   --zipf=T                  zipfian theta, 0 = uniform (default 0.99)
-//   --get-every=N             every Nth request is a Get (default 3)
-//   --qps=N                   open-loop arrival rate (default 50000)
-//   --seed=N                  key-stream seed (default 42)
-//   --json-out=FILE           google-benchmark-schema JSON (check_bench gate)
-//   --hist-out=FILE           wall-latency histograms, one line per bucket
-//   --slo=FILE                arm the SLO watchdog with this spec (JSON,
-//                             see src/obs/slo.h; configs/slo-default.json)
-//   --flight-dump=FILE        where a breach dumps the flight record; the
-//                             file is only created when an alert fires
-//   --flight-capacity=N       flight-recorder ring slots (0 disables)
+// The flag table in Run() documents every flag and its default; a bad flag
+// prints it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -50,7 +32,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <random>
@@ -59,7 +40,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/json.h"
+#include "src/common/flags.h"
 #include "src/common/stats.h"
 #include "src/obs/slo.h"
 #include "src/serve/service.h"
@@ -84,7 +65,7 @@ struct CliOptions {
   std::uint64_t seed = 42;
   std::string json_out;
   std::string hist_out;
-  bool slo_enabled = false;
+  std::string slo_file;
   obs::SloSpec slo;
   std::string flight_dump;
   std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
@@ -147,7 +128,7 @@ StatusOr<std::unique_ptr<KvService>> MakeService(const CliOptions& cli) {
   so.batch_max = cli.batch;
   so.table_slots = cli.table_slots;
   so.flight_capacity = cli.flight_capacity;
-  if (cli.slo_enabled) {
+  if (!cli.slo_file.empty()) {
     so.slo_enabled = true;
     so.slo = cli.slo;
     so.slo_dump_path = cli.flight_dump;
@@ -401,100 +382,46 @@ void AppendHist(std::string* out, const LoopResult& r) {
   }
 }
 
-bool ParseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--mode=closed|open|both] [--shards=N] [--workers=N]\n"
-      "          [--queue=N] [--batch=N] [--clients=N] [--requests=N]\n"
-      "          [--keys=N] [--table-slots=N] [--zipf=T] [--get-every=N]\n"
-      "          [--qps=N] [--seed=N] [--json-out=FILE] [--hist-out=FILE]\n"
-      "          [--slo=FILE] [--flight-dump=FILE] [--flight-capacity=N]\n",
-      argv0);
-  return 2;
-}
-
 int Run(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    std::uint64_t n = 0;
-    if (MatchFlag(argv[i], "--mode", &value)) {
-      cli.mode = value;
-      if (cli.mode != "closed" && cli.mode != "open" && cli.mode != "both") {
-        return Usage(argv[0]);
-      }
-    } else if (MatchFlag(argv[i], "--shards", &value) && ParseUint(value, &n)) {
-      cli.shards = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--workers", &value) &&
-               ParseUint(value, &n)) {
-      cli.workers = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--queue", &value) && ParseUint(value, &n)) {
-      cli.queue = n;
-    } else if (MatchFlag(argv[i], "--batch", &value) && ParseUint(value, &n)) {
-      cli.batch = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--clients", &value) &&
-               ParseUint(value, &n)) {
-      cli.clients = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--requests", &value) &&
-               ParseUint(value, &n)) {
-      cli.requests = n;
-    } else if (MatchFlag(argv[i], "--keys", &value) && ParseUint(value, &n)) {
-      cli.keys = n;
-    } else if (MatchFlag(argv[i], "--table-slots", &value) &&
-               ParseUint(value, &n)) {
-      cli.table_slots = static_cast<std::uint32_t>(n);
-    } else if (MatchFlag(argv[i], "--zipf", &value) &&
-               ParseDouble(value, &cli.zipf)) {
-    } else if (MatchFlag(argv[i], "--get-every", &value) &&
-               ParseUint(value, &n)) {
-      cli.get_every = n;
-    } else if (MatchFlag(argv[i], "--qps", &value) && ParseUint(value, &n)) {
-      cli.qps = n;
-    } else if (MatchFlag(argv[i], "--seed", &value) && ParseUint(value, &n)) {
-      cli.seed = n;
-    } else if (MatchFlag(argv[i], "--json-out", &value)) {
-      cli.json_out = value;
-    } else if (MatchFlag(argv[i], "--hist-out", &value)) {
-      cli.hist_out = value;
-    } else if (MatchFlag(argv[i], "--slo", &value)) {
-      auto spec = obs::LoadSloSpecFile(value);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "slo: %s\n", spec.status().ToString().c_str());
-        return 2;
-      }
-      cli.slo_enabled = true;
-      cli.slo = *spec;
-    } else if (MatchFlag(argv[i], "--flight-dump", &value)) {
-      cli.flight_dump = value;
-    } else if (MatchFlag(argv[i], "--flight-capacity", &value) &&
-               ParseUint(value, &n)) {
-      cli.flight_capacity = n;
-    } else {
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--mode", &cli.mode, "closed|open|both", "load models (default both)"},
+      {"--shards", &cli.shards, "N", "serving shards (default 4)", 1},
+      {"--workers", &cli.workers, "N", "OS workers per shard (default 2)", 1},
+      {"--queue", &cli.queue, "N", "per-shard ring capacity (default 256)"},
+      {"--batch", &cli.batch, "N", "requests per doorbell (default 8)"},
+      {"--clients", &cli.clients, "N", "closed-loop clients (default 4)", 1},
+      {"--requests", &cli.requests, "N", "per loop (default 100000)", 1},
+      {"--keys", &cli.keys, "N", "keyspace size (default 4096)", 1},
+      {"--table-slots", &cli.table_slots, "N", "table slots (default 4096)"},
+      {"--zipf", &cli.zipf, "T", "zipfian theta, 0 = uniform (default 0.99)"},
+      {"--get-every", &cli.get_every, "N", "every Nth is a Get (default 3)"},
+      {"--qps", &cli.qps, "N", "open-loop arrival rate (default 50000)"},
+      {"--seed", &cli.seed, "N", "key-stream seed (default 42)"},
+      {"--json-out", &cli.json_out, "FILE", "google-benchmark-schema JSON"},
+      {"--hist-out", &cli.hist_out, "FILE", "wall-latency histogram buckets"},
+      {"--slo", &cli.slo_file, "FILE",
+       "arm the SLO watchdog with this spec (src/obs/slo.h)"},
+      {"--flight-dump", &cli.flight_dump, "FILE",
+       "flight-record dump path, written only on a breach"},
+      {"--flight-capacity", &cli.flight_capacity, "N",
+       "flight-recorder ring slots (0 disables)"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
-  if (cli.shards < 1 || cli.workers < 1 || cli.clients < 1 ||
-      cli.keys == 0 || cli.requests == 0) {
-    return Usage(argv[0]);
+  if (cli.mode != "closed" && cli.mode != "open" && cli.mode != "both") {
+    return flags::UsageError(
+        argv[0], table,
+        InvalidArgument("--mode=" + cli.mode + ": expected closed|open|both"));
+  }
+  if (!cli.slo_file.empty()) {
+    auto spec = obs::LoadSloSpecFile(cli.slo_file);
+    if (!spec.ok()) {
+      std::fprintf(stderr, "slo: %s\n", spec.status().ToString().c_str());
+      return 2;
+    }
+    cli.slo = *spec;
   }
 
   std::vector<LoopResult> results;

@@ -7,30 +7,14 @@
 // invariant (phase sum != end-to-end span) -- CI runs this as the profiler
 // smoke gate.
 //
-//   --workload=NAME     workload to run (default btree; see src/workloads)
-//   --mechanism=NAME    logging | cow | checkpointing (default logging)
-//   --mode=NAME         baseline | nearpm_sd | nearpm_md_swsync | nearpm_md
-//                       (default nearpm_md)
-//   --ops=N             operations after setup (default 400)
-//   --threads=N         application threads (default 1)
-//   --hw-config=FILE    device geometry (hwmodel schema; default calibrated)
-//   --units=N           NearPM units per device (overrides the geometry;
-//                       default 4 when no --hw-config is given)
-//   --initial-keys=N    setup population (default 500)
-//   --seed=N            workload RNG seed (default 7)
-//   --trace-in=FILE     profile this raw trace instead of running anything
-//   --report-out=FILE   human attribution report (default: stdout)
-//   --folded-out=FILE   folded stacks for flamegraph.pl / inferno
-//   --profile-out=FILE  deterministic profile JSON (nearpm-profile-v1)
-//   --raw-out=FILE      raw trace JSONL (re-consumable via --trace-in)
-//   --trace-out=FILE    Chrome trace-event JSON (Perfetto)
+// The flag table in ProfMain() documents every flag and its default; a bad
+// flag prints it.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "src/common/json.h"
+#include "src/common/flags.h"
 #include "src/core/runtime.h"
 #include "src/fuzz/corpus.h"
 #include "src/prof/profile.h"
@@ -48,8 +32,7 @@ struct CliOptions {
   std::string mode = "nearpm_md";
   std::uint64_t ops = 400;
   int threads = 1;
-  int units = 4;  // reports the effective value after geometry resolution
-  bool units_given = false;
+  int units = 0;  // 0 = keep the geometry's; then holds the effective value
   std::string hw_config;
   std::uint64_t initial_keys = 500;
   std::uint64_t seed = 7;
@@ -60,28 +43,6 @@ struct CliOptions {
   std::string raw_out;
   std::string trace_out;
 };
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--workload=NAME] [--mechanism=NAME] [--mode=NAME]\n"
-      "          [--ops=N] [--threads=N] [--units=N] [--hw-config=FILE]\n"
-      "          [--initial-keys=N]\n"
-      "          [--seed=N] [--trace-in=FILE] [--report-out=FILE]\n"
-      "          [--folded-out=FILE] [--profile-out=FILE] [--raw-out=FILE]\n"
-      "          [--trace-out=FILE]\n",
-      argv0);
-  return 2;
-}
 
 // Writes `text` to `path`, with "-" (or stdout default) meaning stdout.
 bool WriteOutput(const std::string& path, const std::string& text) {
@@ -147,7 +108,7 @@ int RunWorkloadTraced(CliOptions& cli, std::vector<TraceEvent>* events) {
     }
     opts.hw = *hw;
   }
-  if (cli.units_given || cli.hw_config.empty()) {
+  if (cli.units != 0) {
     opts.hw.units_per_device = cli.units;
   }
   cli.units = opts.hw.units_per_device;  // report the effective geometry
@@ -192,46 +153,30 @@ int RunWorkloadTraced(CliOptions& cli, std::vector<TraceEvent>* events) {
 
 int ProfMain(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    std::uint64_t n = 0;
-    if (MatchFlag(argv[i], "--workload", &value)) {
-      cli.workload = value;
-    } else if (MatchFlag(argv[i], "--mechanism", &value)) {
-      cli.mechanism = value;
-    } else if (MatchFlag(argv[i], "--mode", &value)) {
-      cli.mode = value;
-    } else if (MatchFlag(argv[i], "--ops", &value)) {
-      if (!ParseUint(value, &cli.ops)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--threads", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.threads = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--units", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.units = static_cast<int>(n);
-      cli.units_given = true;
-    } else if (MatchFlag(argv[i], "--hw-config", &value)) {
-      cli.hw_config = value;
-    } else if (MatchFlag(argv[i], "--initial-keys", &value)) {
-      if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--seed", &value)) {
-      if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--trace-in", &value)) {
-      cli.trace_in = value;
-    } else if (MatchFlag(argv[i], "--report-out", &value)) {
-      cli.report_out = value;
-    } else if (MatchFlag(argv[i], "--folded-out", &value)) {
-      cli.folded_out = value;
-    } else if (MatchFlag(argv[i], "--profile-out", &value)) {
-      cli.profile_out = value;
-    } else if (MatchFlag(argv[i], "--raw-out", &value)) {
-      cli.raw_out = value;
-    } else if (MatchFlag(argv[i], "--trace-out", &value)) {
-      cli.trace_out = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--workload", &cli.workload, "NAME", "workload to run (default btree)"},
+      {"--mechanism", &cli.mechanism, "NAME", "mechanism (default logging)"},
+      {"--mode", &cli.mode, "NAME", "execution mode (default nearpm_md)"},
+      {"--ops", &cli.ops, "N", "operations after setup (default 400)"},
+      {"--threads", &cli.threads, "N", "application threads (default 1)", 1},
+      {"--units", &cli.units, "N",
+       "units per device, overriding the geometry (default 4)", 1},
+      {"--hw-config", &cli.hw_config, "FILE",
+       "device geometry, hwmodel schema (default calibrated)"},
+      {"--initial-keys", &cli.initial_keys, "N", "setup keys (default 500)"},
+      {"--seed", &cli.seed, "N", "workload RNG seed (default 7)"},
+      {"--trace-in", &cli.trace_in, "FILE", "profile this raw trace instead"},
+      {"--report-out", &cli.report_out, "FILE",
+       "human attribution report (default stdout)"},
+      {"--folded-out", &cli.folded_out, "FILE",
+       "folded stacks for flamegraph.pl / inferno"},
+      {"--profile-out", &cli.profile_out, "FILE",
+       "deterministic profile JSON (nearpm-profile-v1)"},
+      {"--raw-out", &cli.raw_out, "FILE", "raw trace JSONL, for --trace-in"},
+      {"--trace-out", &cli.trace_out, "FILE", "Chrome trace JSON (Perfetto)"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
 
   std::vector<TraceEvent> events;

@@ -7,25 +7,13 @@
 // progress or any shard's trace violates a Section 4 invariant -- CI runs
 // this as the serve smoke gate.
 //
-//   --shards=N          serving shards (default 4)
-//   --workers=N         OS worker threads per shard (default 4)
-//   --requests=N        requests to submit (default 2000)
-//   --multiput-every=N  every Nth request becomes a cross-shard MultiPut
-//                       (0 disables; default 50)
-//   --batch=N           requests per doorbell/fence (default 8)
-//   --queue=N           per-shard queue capacity (default 64)
-//   --json-out=FILE     machine-readable stats (single JSON object)
-//   --metrics-out=FILE  Prometheus text exposition: serve counters, latency
-//                       quantiles, per-shard duty-cycle/occupancy gauges
-//   --replicas=K        replicated mode: --shards becomes the replica-group
-//                       count and every group runs 1 primary + K-1 backups
-//                       over the simulated fabric (default 1 = single copy)
-//   --protocol=pb|redo  replication protocol in replicated mode: acked
-//                       primary-backup log shipping or one-sided redo
-//                       (primary writes the backup's PM, NDP replays)
+// --replicas=K switches to replicated mode: --shards becomes the replica-group
+// count and every group runs 1 primary + K-1 backups over the simulated
+// fabric, with --protocol=pb (acked primary-backup log shipping) or redo
+// (one-sided: the primary writes the backup's PM, NDP replays). The flag
+// table in ServeMain() documents every flag and its default.
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <string>
@@ -33,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/json.h"
+#include "src/common/flags.h"
 #include "src/repl/service.h"
 #include "src/serve/service.h"
 
@@ -53,25 +41,6 @@ struct CliOptions {
   int replicas = 1;
   std::string protocol = "pb";
 };
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--shards=N] [--workers=N] [--requests=N]\n"
-               "          [--multiput-every=N] [--batch=N] [--queue=N]\n"
-               "          [--json-out=FILE] [--metrics-out=FILE]\n"
-               "          [--replicas=K] [--protocol=pb|redo]\n",
-               argv0);
-  return 2;
-}
 
 std::vector<std::uint8_t> ValueFor(std::uint64_t key, std::uint32_t size) {
   std::vector<std::uint8_t> value(size);
@@ -231,38 +200,23 @@ int ReplServeMain(const CliOptions& cli) {
 
 int ServeMain(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    std::uint64_t n = 0;
-    if (MatchFlag(argv[i], "--shards", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.shards = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--workers", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.workers = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--requests", &value)) {
-      if (!ParseUint(value, &cli.requests)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--multiput-every", &value)) {
-      if (!ParseUint(value, &cli.multiput_every)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--batch", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.batch = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--queue", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.queue = static_cast<std::size_t>(n);
-    } else if (MatchFlag(argv[i], "--json-out", &value)) {
-      cli.json_out = value;
-    } else if (MatchFlag(argv[i], "--metrics-out", &value)) {
-      cli.metrics_out = value;
-    } else if (MatchFlag(argv[i], "--replicas", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.replicas = static_cast<int>(n);
-    } else if (MatchFlag(argv[i], "--protocol", &value)) {
-      cli.protocol = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--shards", &cli.shards, "N", "serving shards (default 4)", 1},
+      {"--workers", &cli.workers, "N", "OS workers per shard (default 4)", 1},
+      {"--requests", &cli.requests, "N", "requests to submit (default 2000)"},
+      {"--multiput-every", &cli.multiput_every, "N",
+       "Nth request is a cross-shard MultiPut (0 off; default 50)"},
+      {"--batch", &cli.batch, "N", "requests per doorbell (default 8)", 1},
+      {"--queue", &cli.queue, "N", "per-shard queue capacity (default 64)", 1},
+      {"--json-out", &cli.json_out, "FILE", "stats as one JSON object"},
+      {"--metrics-out", &cli.metrics_out, "FILE",
+       "Prometheus exposition incl. per-shard duty gauges"},
+      {"--replicas", &cli.replicas, "K", "copies per group (default 1)", 1},
+      {"--protocol", &cli.protocol, "pb|redo",
+       "replication protocol (default pb)"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
 
   if (cli.replicas > 1) {

@@ -9,30 +9,16 @@
 // virtual-time deterministic: the same grid on the same sources reproduces
 // bit-for-bit, which the CI sweep-smoke job gates with --tolerance 0.
 //
-//   --workloads=A,B     comma list of workloads (default btree,hashmap)
-//   --mechanism=NAME    crash-consistency mechanism (default logging)
-//   --mode=NAME         execution mode (default nearpm_md)
-//   --ops=N             operations per workload after setup (default 300)
-//   --threads=N         application threads (default 1)
-//   --units=LIST        unit-count axis (default 2,4,8)
-//   --fifo=LIST         Request-FIFO depth axis (default 8,32,64)
-//   --axi-gbps=LIST     AXI bandwidth axis in GB/s (default 2,4,8)
-//   --base-config=FILE  geometry every cell starts from (pipeline stage
-//                       widths, LSQ bound, cost constants; default
-//                       calibrated seed geometry)
-//   --json-out=FILE     check_bench-schema JSON (one benchmark per cell)
-//   --csv-out=FILE      one row per cell for plotting the Pareto front
-//   --quiet             suppress the per-cell progress table
+// The flag table in SweepMain() documents every flag and its default; a bad
+// flag prints it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "src/common/json.h"
+#include "src/common/flags.h"
 #include "src/core/runtime.h"
 #include "src/fuzz/corpus.h"
 #include "src/hwmodel/hw_config.h"
@@ -78,71 +64,6 @@ struct Cell {
     return buf;
   }
 };
-
-bool ParseDoubleList(const char* text, std::vector<double>* out) {
-  out->clear();
-  const char* p = text;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(p, &end);
-    if (end == p) {
-      return false;
-    }
-    out->push_back(v);
-    p = end;
-    if (*p == ',') {
-      ++p;
-    } else if (*p != '\0') {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
-bool ParseIntList(const char* text, std::vector<int>* out) {
-  std::vector<double> v;
-  if (!ParseDoubleList(text, &v)) {
-    return false;
-  }
-  out->clear();
-  for (double d : v) {
-    if (d < 1 || d != static_cast<double>(static_cast<int>(d))) {
-      return false;
-    }
-    out->push_back(static_cast<int>(d));
-  }
-  return true;
-}
-
-std::vector<std::string> SplitNames(const char* text) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) {
-        out.push_back(cur);
-      }
-      cur.clear();
-      if (*p == '\0') {
-        break;
-      }
-    } else {
-      cur += *p;
-    }
-  }
-  return out;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--workloads=A,B] [--mechanism=NAME] [--mode=NAME]\n"
-      "          [--ops=N] [--threads=N] [--units=LIST] [--fifo=LIST]\n"
-      "          [--axi-gbps=LIST] [--base-config=FILE] [--json-out=FILE]\n"
-      "          [--csv-out=FILE] [--initial-keys=N] [--seed=N] [--quiet]\n",
-      argv0);
-  return 2;
-}
 
 // Runs one workload under `hw` and folds the trace into the cell. Returns
 // false (after printing) on setup/op failure or an attribution violation.
@@ -306,51 +227,25 @@ bool WriteFile(const std::string& path, const std::string& text) {
 
 int SweepMain(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    std::uint64_t n = 0;
-    const auto match = [&](const char* name) {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=') {
-        return false;
-      }
-      value = argv[i] + len + 1;
-      return true;
-    };
-    if (match("--workloads")) {
-      cli.workloads = SplitNames(value);
-      if (cli.workloads.empty()) return Usage(argv[0]);
-    } else if (match("--mechanism")) {
-      cli.mechanism = value;
-    } else if (match("--mode")) {
-      cli.mode = value;
-    } else if (match("--ops")) {
-      if (!ParseUint(value, &cli.ops) || cli.ops == 0) return Usage(argv[0]);
-    } else if (match("--threads")) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.threads = static_cast<int>(n);
-    } else if (match("--units")) {
-      if (!ParseIntList(value, &cli.units)) return Usage(argv[0]);
-    } else if (match("--fifo")) {
-      if (!ParseIntList(value, &cli.fifo)) return Usage(argv[0]);
-    } else if (match("--axi-gbps")) {
-      if (!ParseDoubleList(value, &cli.axi_gbps)) return Usage(argv[0]);
-    } else if (match("--base-config")) {
-      cli.base_config = value;
-    } else if (match("--json-out")) {
-      cli.json_out = value;
-    } else if (match("--csv-out")) {
-      cli.csv_out = value;
-    } else if (match("--initial-keys")) {
-      if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
-    } else if (match("--seed")) {
-      if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      cli.quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--workloads", &cli.workloads, "A,B", "default btree,hashmap"},
+      {"--mechanism", &cli.mechanism, "NAME", "mechanism (default logging)"},
+      {"--mode", &cli.mode, "NAME", "execution mode (default nearpm_md)"},
+      {"--ops", &cli.ops, "N", "operations per workload (default 300)", 1},
+      {"--threads", &cli.threads, "N", "application threads (default 1)", 1},
+      {"--units", &cli.units, "LIST", "unit-count axis (default 2,4,8)", 1},
+      {"--fifo", &cli.fifo, "LIST", "FIFO depth axis (default 8,32,64)", 1},
+      {"--axi-gbps", &cli.axi_gbps, "LIST", "AXI GB/s axis (default 2,4,8)"},
+      {"--base-config", &cli.base_config, "FILE",
+       "geometry every cell starts from (default calibrated)"},
+      {"--json-out", &cli.json_out, "FILE", "check_bench JSON, one per cell"},
+      {"--csv-out", &cli.csv_out, "FILE", "one CSV row per cell"},
+      {"--initial-keys", &cli.initial_keys, "N", "setup keys (default 200)"},
+      {"--seed", &cli.seed, "N", "workload RNG seed (default 7)"},
+      {"--quiet", flags::Switch{&cli.quiet}, "", "no per-cell progress table"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
 
   const auto mechanism = fuzz::MechanismFromName(cli.mechanism);

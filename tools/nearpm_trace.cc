@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/json.h"
 #include "src/obs/flight_recorder.h"
 #include "src/prof/raw_trace.h"
@@ -208,47 +209,26 @@ bool SlowestFromAlert(const std::string& alert_json, std::uint64_t* out) {
   return true;
 }
 
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--flight-in=FILE] [--trace-in=[LABEL:]FILE]...\n"
-               "          [--list] [--request=ID|slowest] [--perfetto=FILE]\n",
-               argv0);
-  return 2;
-}
-
 int Run(int argc, char** argv) {
   std::string flight_in;
   std::vector<std::string> trace_ins;
   bool list = false;
   std::string request;
   std::string perfetto;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (MatchFlag(argv[i], "--flight-in", &value)) {
-      flight_in = value;
-    } else if (MatchFlag(argv[i], "--trace-in", &value)) {
-      trace_ins.push_back(value);
-    } else if (std::strcmp(argv[i], "--list") == 0) {
-      list = true;
-    } else if (MatchFlag(argv[i], "--request", &value)) {
-      request = value;
-    } else if (MatchFlag(argv[i], "--perfetto", &value)) {
-      perfetto = value;
-    } else {
-      return Usage(argv[0]);
-    }
+  const flags::Flag table[] = {
+      {"--flight-in", &flight_in, "FILE", "a flight-record dump"},
+      {"--trace-in", flags::Repeated{&trace_ins}, "[LABEL:]FILE",
+       "a raw trace as one source (repeatable)"},
+      {"--list", flags::Switch{&list}, "", "print every request trace id"},
+      {"--request", &request, "ID|slowest", "render one request's timeline"},
+      {"--perfetto", &perfetto, "FILE", "with --request: Perfetto JSON"},
+  };
+  if (const Status st = flags::Parse(argc, argv, table); !st.ok()) {
+    return flags::UsageError(argv[0], table, st);
   }
   if (flight_in.empty() && trace_ins.empty()) {
-    return Usage(argv[0]);
+    return flags::UsageError(
+        argv[0], table, InvalidArgument("--flight-in or --trace-in needed"));
   }
 
   std::vector<TimelineSource> sources;
@@ -293,7 +273,9 @@ int Run(int argc, char** argv) {
     }
   } else {
     if (!ParseUint(request, &trace_id) || trace_id == 0) {
-      return Usage(argv[0]);
+      return flags::UsageError(
+          argv[0], table,
+          InvalidArgument("--request wants a trace id > 0 or slowest"));
     }
   }
 
