@@ -167,10 +167,8 @@ std::string Usage(const char* argv0, std::span<const Flag> table) {
 
 int UsageError(const char* argv0, std::span<const Flag> table,
                const Status& error) {
-  if (!error.ok()) {
-    std::fprintf(stderr, "%s\n", error.message().c_str());
-  }
-  std::fputs(Usage(argv0, table).c_str(), stderr);
+  std::fprintf(stderr, "%s\n%s", error.message().c_str(),
+               Usage(argv0, table).c_str());
   return 2;
 }
 

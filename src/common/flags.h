@@ -57,10 +57,10 @@ Status Parse(int argc, const char* const* argv, std::span<const Flag> table);
 
 std::string Usage(const char* argv0, std::span<const Flag> table);
 
-// Prints `error` (unless OK) and Usage() to stderr; returns 2, the CLIs' exit
+// Prints `error`'s message and Usage() to stderr; returns 2, the CLIs' exit
 // code for a bad command line.
 int UsageError(const char* argv0, std::span<const Flag> table,
-               const Status& error = Status());
+               const Status& error);
 
 }  // namespace flags
 }  // namespace nearpm
