@@ -258,8 +258,10 @@ int FuzzMain(int argc, char** argv) {
        "crash-point sweep of one OPS-long schedule (bare: 6)"},
       {"--max-candidates", &cli.max_candidates, "N",
        "crash candidates per systematic step (default 24)"},
-      {"--mechanism", &cli.mechanism, "NAME", "one mechanism (default all)"},
-      {"--mode", &cli.mode, "NAME", "one execution mode (default all)"},
+      {"--mechanism", &cli.mechanism, "NAME",
+       "logging|redo_logging|checkpointing|shadow_paging|all"},
+      {"--mode", &cli.mode, "NAME",
+       "baseline|nearpm_sd|nearpm_md_swsync|nearpm_md|all"},
       {"--enforce-ppo", flags::Bool01{&cli.enforce_ppo}, "0|1",
        "PPO ordering (default 1; 0 is the Section 2.3 ablation)"},
       {"--break-recovery", flags::Switch{&cli.break_recovery}, "",
