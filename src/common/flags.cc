@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -170,6 +171,20 @@ int UsageError(const char* argv0, std::span<const Flag> table,
   std::fprintf(stderr, "%s\n%s", error.message().c_str(),
                Usage(argv0, table).c_str());
   return 2;
+}
+
+bool WriteOutput(const std::string& path, std::string_view text) {
+  if (path == "-") {
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return true;
+  }
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace flags

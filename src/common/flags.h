@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -61,6 +62,10 @@ std::string Usage(const char* argv0, std::span<const Flag> table);
 // code for a bad command line.
 int UsageError(const char* argv0, std::span<const Flag> table,
                const Status& error);
+
+// Writes `text` to the file an output flag names, "-" meaning stdout. On
+// failure prints "cannot write PATH" to stderr and returns false.
+bool WriteOutput(const std::string& path, std::string_view text);
 
 }  // namespace flags
 }  // namespace nearpm

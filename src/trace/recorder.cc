@@ -123,7 +123,13 @@ void TraceRecorder::Record(TraceEvent event) {
   ++recorded_;
   const std::uint64_t key = TrackKey(event.pid, event.tid);
   if (key != cached_track_key_) {
-    cached_track_ = &tracks_[key];
+    auto [it, inserted] = tracks_.try_emplace(key);
+    if (inserted) {
+      // The ring's one allocation. reserve() constructs nothing, so pages
+      // stay untouched until events land on them.
+      it->second.events.reserve(options_.ring_capacity);
+    }
+    cached_track_ = &it->second;
     cached_track_key_ = key;
   }
   Ring& ring = *cached_track_;
@@ -131,7 +137,9 @@ void TraceRecorder::Record(TraceEvent event) {
     ring.events.push_back(event);
   } else {
     ring.events[ring.next] = event;
-    ring.next = (ring.next + 1) % options_.ring_capacity;
+    if (++ring.next == options_.ring_capacity) {
+      ring.next = 0;
+    }
     ++ring.dropped;
     ++dropped_;
   }

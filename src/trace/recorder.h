@@ -2,11 +2,15 @@
 //
 // Recording is a single branch + struct copy into a preallocated ring; when
 // the ring fills, the oldest events on that track are overwritten (the drop
-// count is kept, so consumers know the window is partial). Instrumentation
-// sites go through the NEARPM_TRACE_* macros below, which compile to a
-// null-check when no recorder is attached -- the disabled cost is one
-// predictable branch, so performance runs are unaffected (checked by the
-// Figure 16/17 benchmarks).
+// count is kept, so consumers know the window is partial). A track's first
+// event reserves its whole ring at once and the ring never reallocates after
+// that. The memory bound is tracks x ring_capacity x sizeof(TraceEvent) of
+// address space; a page is touched only once an event is written to it.
+//
+// Instrumentation sites go through the NEARPM_TRACE_* macros below, which
+// compile to a null-check when no recorder is attached -- the disabled cost
+// is one predictable branch, so performance runs are unaffected (checked by
+// the Figure 16/17 benchmarks).
 //
 // Per-phase metrics (feed_metrics) are accumulated into plain arrays indexed
 // by TracePhase -- no string lookup, no registry lock on the record path --
@@ -103,7 +107,8 @@ class TraceRecorder {
       static_cast<std::size_t>(TracePhase::kCount);
 
   struct Ring {
-    std::vector<TraceEvent> events;  // capacity-bounded, wrap-around
+    std::vector<TraceEvent> events;  // reserved to ring_capacity on the
+                                     // track's first event; wrap-around
     std::size_t next = 0;            // write cursor once full
     std::uint64_t dropped = 0;       // overwrites; >0 means events[next] is
                                      // the oldest retained entry

@@ -294,6 +294,86 @@ TEST(TraceRecorderTest, RingOverwritesOldestPerTrack) {
   }
 }
 
+TEST(TraceRecorderTest, ZeroCapacityIsClampedToOneAndKeepsTheNewest) {
+  TraceRecorderOptions options;
+  options.ring_capacity = 0;
+  TraceRecorder recorder(options);
+  for (int i = 0; i < 3; ++i) {
+    recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, i));
+  }
+  EXPECT_EQ(recorder.recorded(), 3u);
+  EXPECT_EQ(recorder.dropped(), 2u);
+  const std::vector<TraceEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].order, 3u);
+  EXPECT_EQ(events[0].ts, 2u);
+}
+
+TEST(TraceRecorderTest, FullRingDropsNothingUntilOneMoreEvent) {
+  TraceRecorderOptions options;
+  options.ring_capacity = 4;
+  TraceRecorder recorder(options);
+  for (int i = 0; i < 4; ++i) {
+    recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, i));
+  }
+  EXPECT_EQ(recorder.dropped(), 0u);
+  std::vector<TraceEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().order, 1u);
+  EXPECT_EQ(events.back().order, 4u);
+
+  recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, 4));
+  EXPECT_EQ(recorder.dropped(), 1u);
+  events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].order, 2 + i);
+  }
+}
+
+TEST(TraceRecorderTest, ClearedRecorderMatchesAFreshOne) {
+  // Three tracks, the host one wrapping its ring twice over, and an epoch
+  // change midway.
+  const auto feed = [](TraceRecorder& recorder) {
+    for (int i = 0; i < 11; ++i) {
+      recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, i));
+      if (i % 3 == 0) {
+        recorder.Record(
+            Instant(TracePhase::kRetire, TraceDevicePid(0), 0, 100 + i));
+      }
+      if (i == 5) {
+        recorder.NextEpoch();
+        recorder.Record(Instant(TracePhase::kCpuFence, kTraceHostPid, 1, i));
+      }
+    }
+  };
+  TraceRecorderOptions options;
+  options.ring_capacity = 4;
+  TraceRecorder cleared(options);
+  feed(cleared);
+  cleared.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 7, 0));
+  cleared.Clear();
+  feed(cleared);
+  TraceRecorder fresh(options);
+  feed(fresh);
+
+  EXPECT_EQ(cleared.recorded(), fresh.recorded());
+  EXPECT_EQ(cleared.dropped(), fresh.dropped());
+  EXPECT_GT(fresh.dropped(), 0u);
+  EXPECT_EQ(cleared.track_count(), fresh.track_count());
+  const std::vector<TraceEvent> a = cleared.Snapshot();
+  const std::vector<TraceEvent> b = fresh.Snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].order, b[i].order) << i;
+    EXPECT_EQ(a[i].epoch, b[i].epoch) << i;
+    EXPECT_EQ(a[i].phase, b[i].phase) << i;
+    EXPECT_EQ(a[i].pid, b[i].pid) << i;
+    EXPECT_EQ(a[i].tid, b[i].tid) << i;
+    EXPECT_EQ(a[i].ts, b[i].ts) << i;
+  }
+}
+
 TEST(TraceRecorderTest, SnapshotTrimsToConsistentSuffixAcrossTracks) {
   TraceRecorderOptions options;
   options.ring_capacity = 4;

@@ -51,20 +51,6 @@ struct CliOptions {
   bool quiet = false;
 };
 
-bool WriteOutput(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return true;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 // Deterministic hook counters in the google-benchmark JSON shape that
 // tools/check_bench.py consumes: any accidental hook-count explosion (a hot
 // path instrumented twice, a shadow map that stops being bounded) drifts a
@@ -358,15 +344,15 @@ int AnalyzeMain(int argc, char** argv) {
     std::fputs(san.sink().RenderText().c_str(), stdout);
   }
   if (!cli.sarif_out.empty() &&
-      !WriteOutput(cli.sarif_out, san.sink().RenderSarif())) {
+      !flags::WriteOutput(cli.sarif_out, san.sink().RenderSarif())) {
     return 1;
   }
   if (!cli.json_out.empty() &&
-      !WriteOutput(cli.json_out, san.sink().RenderJson())) {
+      !flags::WriteOutput(cli.json_out, san.sink().RenderJson())) {
     return 1;
   }
   if (!cli.bench_json.empty() &&
-      !WriteOutput(cli.bench_json, BenchJson(cli, san, sim_ns))) {
+      !flags::WriteOutput(cli.bench_json, BenchJson(cli, san, sim_ns))) {
     return 1;
   }
 

@@ -44,21 +44,6 @@ struct CliOptions {
   std::string trace_out;
 };
 
-// Writes `text` to `path`, with "-" (or stdout default) meaning stdout.
-bool WriteOutput(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return true;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 std::string ConfigJson(const CliOptions& cli) {
   if (!cli.trace_in.empty()) {
     return "{\"source\": \"trace\"}";
@@ -200,17 +185,17 @@ int ProfMain(int argc, char** argv) {
 
   const Profile profile = BuildProfile(events);
 
-  if (!WriteOutput(cli.report_out.empty() ? "-" : cli.report_out,
-                   RenderReport(profile))) {
+  if (!flags::WriteOutput(cli.report_out.empty() ? "-" : cli.report_out,
+                          RenderReport(profile))) {
     return 1;
   }
   if (!cli.folded_out.empty() &&
-      !WriteOutput(cli.folded_out, RenderFolded(profile))) {
+      !flags::WriteOutput(cli.folded_out, RenderFolded(profile))) {
     return 1;
   }
   if (!cli.profile_out.empty() &&
-      !WriteOutput(cli.profile_out,
-                   RenderProfileJson(profile, ConfigJson(cli)))) {
+      !flags::WriteOutput(cli.profile_out,
+                          RenderProfileJson(profile, ConfigJson(cli)))) {
     return 1;
   }
   if (!cli.raw_out.empty()) {

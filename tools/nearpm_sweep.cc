@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -215,16 +214,6 @@ std::string RenderCsv(const std::vector<Cell>& cells) {
   return out;
 }
 
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 int SweepMain(int argc, char** argv) {
   CliOptions cli;
   const flags::Flag table[] = {
@@ -238,8 +227,9 @@ int SweepMain(int argc, char** argv) {
       {"--axi-gbps", &cli.axi_gbps, "LIST", "AXI GB/s axis (default 2,4,8)"},
       {"--base-config", &cli.base_config, "FILE",
        "geometry every cell starts from (default calibrated)"},
-      {"--json-out", &cli.json_out, "FILE", "check_bench JSON, one per cell"},
-      {"--csv-out", &cli.csv_out, "FILE", "one CSV row per cell"},
+      {"--json-out", &cli.json_out, "FILE",
+       "check_bench JSON, one per cell (- = stdout)"},
+      {"--csv-out", &cli.csv_out, "FILE", "one CSV row per cell (- = stdout)"},
       {"--initial-keys", &cli.initial_keys, "N", "setup keys (default 200)"},
       {"--seed", &cli.seed, "N", "workload RNG seed (default 7)"},
       {"--quiet", flags::Switch{&cli.quiet}, "", "no per-cell progress table"},
@@ -326,10 +316,11 @@ int SweepMain(int argc, char** argv) {
   }
 
   if (!cli.json_out.empty() &&
-      !WriteFile(cli.json_out, RenderJson(cli, cells))) {
+      !flags::WriteOutput(cli.json_out, RenderJson(cli, cells))) {
     return 1;
   }
-  if (!cli.csv_out.empty() && !WriteFile(cli.csv_out, RenderCsv(cells))) {
+  if (!cli.csv_out.empty() &&
+      !flags::WriteOutput(cli.csv_out, RenderCsv(cells))) {
     return 1;
   }
   return 0;
