@@ -7,8 +7,8 @@
 // window_ns / buckets of absolute sim time and is lazily recycled when the
 // wheel comes back around, so decay is O(1) per sample with no timer.
 //
-// One window per writer (the serve layer keeps one per (shard, worker),
-// matching its WorkerMetrics blocks): Record* calls are single-writer, but
+// One window per writer (the serve layer keeps one per shard, matching its
+// WorkerMetrics blocks): Record* calls are single-writer, but
 // every counter is a relaxed atomic so a concurrent reader -- the SLO
 // watchdog merging all windows mid-run -- reads torn-free values. The
 // merge is statistical, not linearizable: a sample landing during a merge

@@ -16,12 +16,6 @@ namespace {
 // retires, promotions): a header-only frame.
 constexpr std::size_t kCtrlBytes = 32;
 
-ServeResult Unexecuted(Status status) {
-  ServeResult result;
-  result.status = std::move(status);
-  return result;
-}
-
 }  // namespace
 
 const char* ReplProtocolName(ReplProtocol protocol) {
@@ -42,7 +36,10 @@ StatusOr<ReplProtocol> ReplProtocolFromName(const std::string& name) {
 }
 
 ReplicatedKvService::ReplicatedKvService(const ReplOptions& options)
-    : options_(options), router_(options.groups, options.replicas) {
+    : options_(options),
+      router_(options.groups, options.replicas),
+      driver_(options.groups, options.workers_per_shard,
+              options.queue_capacity, options.batch_max) {
   // Resolve the completion-path metric handles once; the registry's map
   // nodes are stable, so these stay valid for the service's life.
   ctr_enqueued_ = &metrics_.Counter("repl_enqueued");
@@ -110,13 +107,6 @@ StatusOr<std::unique_ptr<ReplicatedKvService>> ReplicatedKvService::Create(
     service->fabric_recorder_->AttachSink(
         service->flight_->RegisterSource("fabric"));
   }
-
-  for (int g = 0; g < options.groups; ++g) {
-    service->queues_.push_back(
-        std::make_unique<serve::MpscRing<QueuedRequest>>(
-            options.queue_capacity));
-  }
-  service->pump_rr_.assign(options.groups, 0);
   return service;
 }
 
@@ -143,7 +133,7 @@ StatusOr<std::future<ServeResult>> ReplicatedKvService::Submit(
   // and fabric message it touches.
   item.trace_id = trace_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::future<ServeResult> done = item.done.get_future();
-  if (!queues_[group]->TryPush(item)) {
+  if (!driver_.ring(group).TryPush(item)) {
     ctr_rejected_->fetch_add(1, std::memory_order_relaxed);
     return ResourceExhausted("group " + std::to_string(group) +
                              " queue full (" +
@@ -155,145 +145,94 @@ StatusOr<std::future<ServeResult>> ReplicatedKvService::Submit(
 }
 
 void ReplicatedKvService::Start() {
-  for (int g = 0; g < options_.groups; ++g) {
-    for (int w = 0; w < options_.workers_per_shard; ++w) {
-      workers_.emplace_back([this, g, w] { WorkerLoop(g, w); });
-    }
-  }
+  driver_.Start([this](int g, int vcpu, std::vector<QueuedRequest>& batch) {
+    ExecuteBatch(g, vcpu, batch);
+  });
 }
 
-void ReplicatedKvService::Stop() {
-  for (auto& queue : queues_) {
-    queue->Close();
-  }
-  for (auto& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  workers_.clear();
-}
-
-void ReplicatedKvService::WorkerLoop(int group, int worker) {
-  serve::MpscRing<QueuedRequest>& queue = *queues_[group];
-  while (true) {
-    auto first = queue.Pop();
-    if (!first.has_value()) {
-      return;
-    }
-    std::vector<QueuedRequest> batch;
-    batch.push_back(std::move(*first));
-    while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-      auto more = queue.TryPop();
-      if (!more.has_value()) {
-        break;
-      }
-      batch.push_back(std::move(*more));
-    }
-    ExecuteBatch(group, worker, std::move(batch));
-  }
-}
+void ReplicatedKvService::Stop() { driver_.Stop(); }
 
 std::uint64_t ReplicatedKvService::Pump() {
-  std::uint64_t executed = 0;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int g = 0; g < options_.groups; ++g) {
-      std::vector<QueuedRequest> batch;
-      while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-        auto item = queues_[g]->TryPop();
-        if (!item.has_value()) {
-          break;
-        }
-        batch.push_back(std::move(*item));
-      }
-      if (batch.empty()) {
-        continue;
-      }
-      progress = true;
-      executed += batch.size();
-      const int worker = pump_rr_[g];
-      pump_rr_[g] = (pump_rr_[g] + 1) % options_.workers_per_shard;
-      ExecuteBatch(g, worker, std::move(batch));
-    }
-  }
-  return executed;
+  return driver_.Pump(
+      [this](int g, int vcpu, std::vector<QueuedRequest>& batch) {
+        ExecuteBatch(g, vcpu, batch);
+      });
 }
 
-void ReplicatedKvService::ExecuteBatch(int group, int worker,
-                                       std::vector<QueuedRequest> batch) {
-  // Reads serve from the group's routed primary; every mutation goes
-  // through the replicated commit (which takes its own locks).
-  std::vector<QueuedRequest> gets;
-  std::vector<QueuedRequest> writes;
-  for (QueuedRequest& item : batch) {
-    (item.request.kind == RequestKind::kGet ? gets : writes)
-        .push_back(std::move(item));
+void ReplicatedKvService::ExecuteBatch(int group, int vcpu,
+                                       std::vector<QueuedRequest>& batch) {
+  // Split in place: reads serve from the group's routed primary, every
+  // mutation goes through the replicated commit (which takes its own locks).
+  std::size_t gets = 0;
+  for (const QueuedRequest& item : batch) {
+    gets += item.request.kind == RequestKind::kGet ? 1u : 0u;
   }
 
-  if (!gets.empty()) {
-    const int primary = router_.PrimaryNodeFor(group);
-    if (!alive_[primary]) {
-      for (QueuedRequest& item : gets) {
-        item.done.set_value(Unexecuted(Unavailable(
-            "group " + std::to_string(group) + " primary down")));
+  const int primary = router_.PrimaryNodeFor(group);
+  if (gets > 0 && !alive_[primary]) {
+    for (QueuedRequest& item : batch) {
+      if (item.request.kind == RequestKind::kGet) {
+        item.done.set_value(ServeResult{.status = Unavailable(
+            "group " + std::to_string(group) + " primary down")});
       }
-    } else {
-      Shard& shard = *nodes_[primary];
-      std::lock_guard lock(shard.mu());
-      const ThreadId tid = shard.WorkerTid(worker);
-      Runtime& rt = shard.rt();
-      const SimTime batch_start = rt.Now(tid);
-      rt.Compute(tid, rt.options().hw.cost.cmd_post_ns);
-      for (QueuedRequest& item : gets) {
-        rt.Compute(tid, options_.request_parse_ns);
-        const SimTime start = rt.Now(tid);
-        // Device events the read produces inherit the request's id (the
-        // shard lock serializes recorder access).
-        TraceIdScope trace_scope(&shard.recorder(), item.trace_id);
-        ServeResult result;
-        result.shard = group;
-        result.trace_id = item.trace_id;
-        auto value = shard.Get(tid, item.request.key);
-        if (value.ok()) {
-          result.value = std::move(*value);
-        }
-        result.status = value.status();
-        const SimTime end = rt.Now(tid);
-        NEARPM_TRACE_SPAN(&shard.recorder(),
-                          .phase = TracePhase::kServeRequest,
-                          .pid = kTraceServePid,
-                          .tid = static_cast<std::uint32_t>(tid), .ts = start,
-                          .dur = end > start ? end - start : 1,
-                          .seq = item.request.key);
-        result.latency_ns = end - batch_start;
-        request_ns_->Add(result.latency_ns);
-        ctr_gets_->fetch_add(1, std::memory_order_relaxed);
-        ctr_completed_->fetch_add(1, std::memory_order_relaxed);
-        item.done.set_value(std::move(result));
-      }
-      rt.Fence(tid);
-      ctr_batches_->fetch_add(1, std::memory_order_relaxed);
     }
+  } else if (gets > 0) {
+    Shard& shard = *nodes_[primary];
+    std::lock_guard lock(shard.mu());
+    const ThreadId tid = shard.WorkerTid(vcpu);
+    Runtime& rt = shard.rt();
+    const SimTime batch_start = rt.Now(tid);
+    rt.Compute(tid, rt.options().hw.cost.cmd_post_ns);
+    for (QueuedRequest& item : batch) {
+      if (item.request.kind != RequestKind::kGet) {
+        continue;
+      }
+      rt.Compute(tid, options_.request_parse_ns);
+      const SimTime start = rt.Now(tid);
+      // Device events the read produces inherit the request's id (the
+      // shard lock serializes recorder access).
+      TraceIdScope trace_scope(&shard.recorder(), item.trace_id);
+      ServeResult result;
+      result.shard = group;
+      result.trace_id = item.trace_id;
+      auto value = shard.Get(tid, item.request.key);
+      if (value.ok()) {
+        result.value = std::move(*value);
+      }
+      result.status = value.status();
+      const SimTime end = rt.Now(tid);
+      NEARPM_TRACE_SPAN(&shard.recorder(), .phase = TracePhase::kServeRequest,
+                        .pid = kTraceServePid,
+                        .tid = static_cast<std::uint32_t>(tid), .ts = start,
+                        .dur = end > start ? end - start : 1,
+                        .seq = item.request.key);
+      result.latency_ns = end - batch_start;
+      request_ns_->Add(result.latency_ns);
+      ctr_gets_->fetch_add(1, std::memory_order_relaxed);
+      ctr_completed_->fetch_add(1, std::memory_order_relaxed);
+      item.done.set_value(std::move(result));
+    }
+    rt.Fence(tid);
+    ctr_batches_->fetch_add(1, std::memory_order_relaxed);
   }
 
-  for (QueuedRequest& item : writes) {
+  for (QueuedRequest& item : batch) {
+    if (item.request.kind == RequestKind::kGet) {
+      continue;
+    }
+    const bool multi = item.request.kind == RequestKind::kMultiPut;
+    if (!multi) {
+      // A single put is a 1-pair transaction; the request is spent after
+      // this, so its payload moves into the pair.
+      item.request.pairs.assign(
+          1, KvPair{item.request.key, std::move(item.request.value)});
+    }
     ServeResult result;
     result.shard = group;
     result.trace_id = item.trace_id;
-    std::vector<KvPair> pairs;
-    if (item.request.kind == RequestKind::kMultiPut) {
-      pairs = item.request.pairs;
-    } else {
-      KvPair pair;
-      pair.key = item.request.key;
-      pair.value = item.request.value;
-      pairs.push_back(std::move(pair));
-    }
-    result.status = ExecuteReplicatedTxn(pairs, {}, item.trace_id);
-    (item.request.kind == RequestKind::kMultiPut ? ctr_txns_ : ctr_puts_)
-        ->fetch_add(1, std::memory_order_relaxed);
+    result.status =
+        ExecuteReplicatedTxn(item.request.pairs, {}, item.trace_id);
+    (multi ? ctr_txns_ : ctr_puts_)->fetch_add(1, std::memory_order_relaxed);
     ctr_completed_->fetch_add(1, std::memory_order_relaxed);
     item.done.set_value(std::move(result));
   }
@@ -634,10 +573,7 @@ void ReplicatedKvService::CrashReplicas(const std::vector<int>& crash_nodes,
     if (alive_[router_.PrimaryNodeFor(g)]) {
       continue;
     }
-    while (auto item = queues_[g]->TryPop()) {
-      item->done.set_value(
-          Unexecuted(Unavailable("request lost in power failure")));
-    }
+    driver_.FailQueued(g, Unavailable("request lost in power failure"));
   }
 }
 

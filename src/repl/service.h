@@ -45,14 +45,13 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/net/fabric.h"
 #include "src/obs/flight_recorder.h"
 #include "src/prof/request_timeline.h"
-#include "src/serve/mpsc_ring.h"
+#include "src/serve/batch_driver.h"
 #include "src/serve/router.h"
 #include "src/serve/service.h"
 #include "src/serve/shard.h"
@@ -62,6 +61,7 @@ namespace nearpm {
 namespace repl {
 
 using serve::KvPair;
+using serve::QueuedRequest;
 using serve::RequestKind;
 using serve::ServeRequest;
 using serve::ServeResult;
@@ -80,7 +80,7 @@ struct ReplOptions {
   int groups = 4;    // replica groups (hash partitions)
   int replicas = 2;  // nodes per group: 1 primary + replicas-1 backups
   ReplProtocol protocol = ReplProtocol::kPrimaryBackup;
-  int workers_per_shard = 2;
+  int workers_per_shard = 2;  // virtual CPUs (runtime clocks) per node
   std::size_t queue_capacity = 64;
   int batch_max = 8;
   ExecMode mode = ExecMode::kNdpMultiDelayed;
@@ -172,8 +172,11 @@ class ReplicatedKvService {
   StatusOr<std::future<ServeResult>> Submit(ServeRequest request);
 
   // ---- Threaded mode --------------------------------------------------------
-  void Start();  // spawns workers_per_shard OS threads per group
-  void Stop();   // closes queues, drains and joins every worker
+  // Both modes run on the shared serve::BatchDriver: one ring per group and
+  // round-robin virtual CPUs, so pre-filled rings give the same simulated
+  // results either way.
+  void Start();  // spawns one OS thread per group
+  void Stop();   // closes queues, drains and joins every group thread
 
   // ---- Deterministic mode ---------------------------------------------------
   // Drains every group queue inline. Returns requests executed. Must not
@@ -232,16 +235,12 @@ class ReplicatedKvService {
   ReplStats Stats() const;
 
  private:
-  struct QueuedRequest {
-    ServeRequest request;
-    std::promise<ServeResult> done;
-    std::uint64_t trace_id = 0;  // allocated at admission
-  };
-
   explicit ReplicatedKvService(const ReplOptions& options);
 
-  void WorkerLoop(int group, int worker);
-  void ExecuteBatch(int group, int worker, std::vector<QueuedRequest> batch);
+  // Executes one batch in place on the primary's virtual CPU `vcpu`: the
+  // gets under the primary's lock with one doorbell + one fence, then each
+  // write as a replicated commit (which takes its own locks).
+  void ExecuteBatch(int group, int vcpu, std::vector<QueuedRequest>& batch);
 
   // Live replica indices of a group, ascending (primary not necessarily
   // first -- use router_.PrimaryReplica).
@@ -259,10 +258,8 @@ class ReplicatedKvService {
   std::vector<bool> alive_;
   std::unique_ptr<TraceRecorder> fabric_recorder_;
   std::unique_ptr<net::Fabric> fabric_;
-  std::vector<std::unique_ptr<serve::MpscRing<QueuedRequest>>> queues_;
-  std::vector<std::thread> workers_;
+  serve::BatchDriver driver_;
   std::atomic<std::uint64_t> txn_counter_{0};
-  std::vector<int> pump_rr_;
   MetricsRegistry metrics_;
 
   // Request trace ids, allocated at admission (1-based; 0 = untraced).

@@ -25,10 +25,10 @@
 //     only touch the semaphore when a consumer has registered as a waiter,
 //     so the uncontended push is a claim-CAS plus one release store.
 //
-// Naming: the dominant shape is many producers (client threads in Submit)
-// and one drainer, but the pop side runs the same sequence-CAS protocol, so
-// the small per-shard worker pool (workers_per_shard consumers) is safe too
-// -- the ring is MPMC-correct, MPSC-tuned.
+// Naming: the serve layer's shape is many producers (client threads in
+// Submit) and one drainer (the shard's thread in src/serve/batch_driver.h),
+// but the pop side runs the same sequence-CAS protocol, so several consumers
+// are safe too -- the ring is MPMC-correct, MPSC-tuned.
 //
 // Admission control semantics match the old queue exactly: TryPush never
 // blocks and returns false on a full or closed ring (the item is not

@@ -9,21 +9,13 @@
 
 namespace nearpm {
 namespace serve {
-namespace {
-
-ServeResult Unexecuted(Status status) {
-  ServeResult result;
-  result.status = std::move(status);
-  return result;
-}
-
-}  // namespace
 
 KvService::KvService(const ServeOptions& options)
     : options_(options),
       router_(options.shards),
-      worker_metrics_(static_cast<std::size_t>(options.shards) *
-                      static_cast<std::size_t>(options.workers_per_shard)) {}
+      driver_(options.shards, options.workers_per_shard,
+              options.queue_capacity, options.batch_max),
+      worker_metrics_(static_cast<std::size_t>(options.shards)) {}
 
 KvService::~KvService() { Stop(); }
 
@@ -56,15 +48,12 @@ StatusOr<std::unique_ptr<KvService>> KvService::Create(
       return shard.status();
     }
     service->shards_.push_back(std::move(*shard));
-    service->queues_.push_back(
-        std::make_unique<MpscRing<QueuedRequest>>(options.queue_capacity));
   }
-  service->pump_rr_.assign(options.shards, 0);
 
   // Live observability: one flight ring fed by every shard recorder, one
-  // sliding window per (shard, worker) -- mirroring the WorkerMetrics
-  // layout so the hot path touches only writer-private state -- and the
-  // optional watchdog over the merged view.
+  // sliding window per shard -- mirroring the WorkerMetrics layout so the
+  // hot path touches only writer-private state -- and the optional watchdog
+  // over the merged view.
   if (options.flight_capacity > 0) {
     service->flight_ =
         std::make_unique<obs::FlightRecorder>(options.flight_capacity);
@@ -76,13 +65,11 @@ StatusOr<std::unique_ptr<KvService>> KvService::Create(
   obs::WindowOptions wo;
   wo.window_ns = static_cast<SimTime>(options.slo.window_ns);
   wo.slow_k = options.slo.slow_k;
-  const std::size_t blocks = static_cast<std::size_t>(options.shards) *
-                             static_cast<std::size_t>(options.workers_per_shard);
-  service->windows_.reserve(blocks);
-  for (std::size_t i = 0; i < blocks; ++i) {
+  service->windows_.reserve(static_cast<std::size_t>(options.shards));
+  for (int s = 0; s < options.shards; ++s) {
     service->windows_.emplace_back(wo);
   }
-  service->window_ptrs_.reserve(blocks);
+  service->window_ptrs_.reserve(service->windows_.size());
   for (const obs::SlidingWindow& win : service->windows_) {
     service->window_ptrs_.push_back(&win);
   }
@@ -115,7 +102,7 @@ StatusOr<std::future<ServeResult>> KvService::Submit(ServeRequest request) {
   // Cheap pre-check before paying for the promise/future pair: a full ring
   // rejects most attempts here, without allocating the completion channel
   // the push would only throw away. TryPush below stays authoritative.
-  MpscRing<QueuedRequest>& queue = *queues_[shard_id];
+  MpscRing<QueuedRequest>& queue = driver_.ring(shard_id);
   const std::size_t depth = queue.size();
   if (depth >= queue.capacity()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -144,74 +131,18 @@ StatusOr<std::future<ServeResult>> KvService::Submit(ServeRequest request) {
 }
 
 void KvService::Start() {
-  for (int s = 0; s < num_shards(); ++s) {
-    for (int w = 0; w < options_.workers_per_shard; ++w) {
-      workers_.emplace_back([this, s, w] { WorkerLoop(s, w); });
-    }
-  }
+  driver_.Start([this](int s, int vcpu, std::vector<QueuedRequest>& batch) {
+    ExecuteBatch(s, vcpu, batch);
+  });
 }
 
-void KvService::Stop() {
-  for (auto& queue : queues_) {
-    queue->Close();
-  }
-  for (auto& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  workers_.clear();
-}
-
-void KvService::WorkerLoop(int shard_id, int worker) {
-  MpscRing<QueuedRequest>& queue = *queues_[shard_id];
-  std::vector<QueuedRequest> batch;  // reused across batches
-  batch.reserve(static_cast<std::size_t>(options_.batch_max));
-  while (true) {
-    auto first = queue.Pop();  // blocks; empty optional = closed + drained
-    if (!first.has_value()) {
-      return;
-    }
-    batch.clear();
-    batch.push_back(std::move(*first));
-    while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-      auto more = queue.TryPop();
-      if (!more.has_value()) {
-        break;
-      }
-      batch.push_back(std::move(*more));
-    }
-    ExecuteBatch(shard_id, worker, batch);
-  }
-}
+void KvService::Stop() { driver_.Stop(); }
 
 std::uint64_t KvService::Pump() {
-  std::uint64_t executed = 0;
-  std::vector<QueuedRequest> batch;  // reused across batches
-  batch.reserve(static_cast<std::size_t>(options_.batch_max));
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int s = 0; s < num_shards(); ++s) {
-      batch.clear();
-      while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-        auto item = queues_[s]->TryPop();
-        if (!item.has_value()) {
-          break;
-        }
-        batch.push_back(std::move(*item));
-      }
-      if (batch.empty()) {
-        continue;
-      }
-      progress = true;
-      executed += batch.size();
-      const int worker = pump_rr_[s];
-      pump_rr_[s] = (pump_rr_[s] + 1) % options_.workers_per_shard;
-      ExecuteBatch(s, worker, batch);
-    }
-  }
-  return executed;
+  return driver_.Pump(
+      [this](int s, int vcpu, std::vector<QueuedRequest>& batch) {
+        ExecuteBatch(s, vcpu, batch);
+      });
 }
 
 Status KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
@@ -263,12 +194,12 @@ Status KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
   return status;
 }
 
-void KvService::ExecuteBatch(int shard_id, int worker,
+void KvService::ExecuteBatch(int shard_id, int vcpu,
                              std::vector<QueuedRequest>& batch) {
   Shard& shard = *shards_[shard_id];
-  const ThreadId tid = shard.WorkerTid(worker);
-  WorkerMetrics& wm = worker_metrics(shard_id, worker);
-  obs::SlidingWindow& win = window(shard_id, worker);
+  const ThreadId tid = shard.WorkerTid(vcpu);
+  WorkerMetrics& wm = worker_metrics_[static_cast<std::size_t>(shard_id)];
+  obs::SlidingWindow& win = windows_[static_cast<std::size_t>(shard_id)];
 
   // Split in place: locals run under one lock/doorbell/fence, transactions
   // after (they take their participants' locks themselves). No per-batch
@@ -292,7 +223,7 @@ void KvService::ExecuteBatch(int shard_id, int worker,
                        .ts = batch_start, .arg0 = locals);
     // Residual backlog after this batch was picked up: the shard-queue
     // occupancy series the profiler and Perfetto counter track render.
-    const std::uint64_t backlog = queues_[shard_id]->size();
+    const std::uint64_t backlog = driver_.ring(shard_id).size();
     NEARPM_TRACE_EVENT(&shard.recorder(),
                        .phase = TracePhase::kServeQueueDepth,
                        .pid = kTraceServePid,
@@ -330,8 +261,8 @@ void KvService::ExecuteBatch(int shard_id, int worker,
     }
     // The coordinator is this shard (Submit routed the request here), so
     // its clock brackets the transaction for the window's latency sample.
-    // Clock reads take the shard lock: a peer worker's transaction on this
-    // shard advances the same TxnTid clock concurrently.
+    // Clock reads take the shard lock: another shard's transaction touching
+    // this one advances the same TxnTid clock concurrently.
     const ThreadId coord_tid = shard.TxnTid();
     SimTime txn_start;
     {
@@ -549,16 +480,14 @@ void KvService::CrashAll(const std::vector<CrashPlan>& plans) {
                                                          : CrashPlan{});
   }
   // The power failure also loses every admitted-but-unexecuted request.
-  for (auto& queue : queues_) {
-    while (auto item = queue->TryPop()) {
-      item->done.set_value(
-          Unexecuted(Unavailable("request lost in power failure")));
-    }
+  for (int s = 0; s < num_shards(); ++s) {
+    driver_.FailQueued(s, Unavailable("request lost in power failure"));
   }
 }
 
 Status KvService::RecoverAll() {
-  // Quiesced path (no workers running): take every shard lock up front.
+  // Quiesced path (no shard threads running): take every shard lock up
+  // front.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (auto& shard : shards_) {
@@ -619,8 +548,7 @@ void KvService::ExportResourceMetrics() {
 }
 
 ServeStats KvService::Stats() const {
-  // One pass over the per-worker blocks; no registry lookups (the old
-  // implementation walked the counter map once per stat name).
+  // One pass over the per-shard blocks; no registry lookups.
   ServeStats stats;
   Histogram request_ns;
   for (const WorkerMetrics& wm : worker_metrics_) {
@@ -646,7 +574,7 @@ ServeStats KvService::Stats() const {
 }
 
 void KvService::PublishMetrics() {
-  // Merge the worker blocks, then *store* the totals under the historical
+  // Merge the shard blocks, then *store* the totals under the historical
   // registry names: publishing is idempotent, so scrapes never double-count.
   std::uint64_t completed = 0;
   std::uint64_t puts = 0;

@@ -8,19 +8,20 @@
 // buffering) and drained in batches: one front-end doorbell charge and one
 // fence per batch instead of per request, the classic amortization knob.
 //
-// Requests are admitted into per-shard lock-free MPSC rings
-// (src/serve/mpsc_ring.h) and metrics are recorded into per-worker local
-// counter blocks, so the hot path performs no mutex acquisition and no
-// registry lookup: admission is a claim-CAS plus a release store, and each
-// completion bumps a cache-line-private relaxed atomic. The MetricsRegistry
-// is populated only on PublishMetrics()/ExportResourceMetrics() (scrape
-// time), and Stats() is a single merge pass over the worker blocks.
+// Requests are admitted into per-shard lock-free rings and metrics are
+// recorded into one counter block per shard, so the hot path performs no
+// mutex acquisition and no registry lookup: admission is a claim-CAS plus a
+// release store, and each completion bumps a cache-line-private relaxed
+// atomic. The MetricsRegistry is populated only on
+// PublishMetrics()/ExportResourceMetrics() (scrape time), and Stats() is a
+// single merge pass over the shard blocks.
 //
-// Two execution modes share the queue/batch path:
-//   * Start()/Stop(): real OS worker threads per shard (the CLI smoke mode);
-//   * Pump(): deterministic inline draining on the calling thread (the
-//     benchmark and crash-fuzzer mode -- same code path, reproducible
-//     simulated timings).
+// The rings and both execution modes live in the shared BatchDriver
+// (src/serve/batch_driver.h): Start()/Stop() run one OS thread per shard
+// (the CLI mode), Pump() drains inline on the calling thread (the benchmark
+// and crash-fuzzer mode). Either way each batch runs on the shard's next
+// virtual CPU in round-robin order, so pre-filled rings give the same
+// simulated timings in both modes.
 //
 // Cross-shard MultiPut follows the paper's Invariant 3 end to end: the
 // coordinator persists a redo intent (failure-atomic, drained durable),
@@ -37,14 +38,13 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/obs/watchdog.h"
 #include "src/prof/request_timeline.h"
-#include "src/serve/mpsc_ring.h"
+#include "src/serve/batch_driver.h"
 #include "src/serve/router.h"
 #include "src/serve/shard.h"
 #include "src/trace/metrics.h"
@@ -54,7 +54,7 @@ namespace serve {
 
 struct ServeOptions {
   int shards = 4;
-  int workers_per_shard = 2;
+  int workers_per_shard = 2;  // virtual CPUs (runtime clocks) per shard
   std::size_t queue_capacity = 64;
   int batch_max = 8;  // requests drained per doorbell/fence
   ExecMode mode = ExecMode::kNdpMultiDelayed;
@@ -77,33 +77,12 @@ struct ServeOptions {
   // service produced are always dumpable.
   std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
   // SLO watchdog: when enabled, `slo` is evaluated at batch boundaries over
-  // the per-worker sliding windows; a breach dumps the flight record to
+  // the per-shard sliding windows; a breach dumps the flight record to
   // `slo_dump_path` (empty = in-memory alert only). The window shape
   // (window_ns, slow_k) always comes from `slo`, watchdog or not.
   bool slo_enabled = false;
   obs::SloSpec slo;
   std::string slo_dump_path;
-};
-
-enum class RequestKind : std::uint8_t { kGet, kPut, kMultiPut };
-
-struct ServeRequest {
-  RequestKind kind = RequestKind::kPut;
-  std::uint64_t key = 0;
-  std::vector<std::uint8_t> value;  // kPut payload
-  std::vector<KvPair> pairs;        // kMultiPut payload
-};
-
-struct ServeResult {
-  Status status = Status::Ok();
-  std::vector<std::uint8_t> value;  // kGet payload
-  // Simulated time from batch pickup to this request's completion (queueing
-  // behind batch peers included).
-  SimTime latency_ns = 0;
-  int shard = -1;
-  // Request trace id allocated at admission: the handle `nearpm_trace
-  // --request` takes to reconstruct this request's cross-node timeline.
-  std::uint64_t trace_id = 0;
 };
 
 // Crash injection for the serve fuzzer: where ExecuteMultiPut deliberately
@@ -121,11 +100,11 @@ struct TxnStop {
   int apply_ordinal = 0;  // kAfterApply: last participant ordinal applied
 };
 
-// Hot-path metrics block, one per (shard, worker): written only by its
-// owning worker (relaxed atomics on a private cache line, so a concurrent
-// Stats() merge reads torn-free values), merged on scrape. This is what
-// keeps the MetricsRegistry -- shared_mutex plus string-keyed map lookup --
-// entirely off the request path.
+// Hot-path metrics block, one per shard: written only by the thread running
+// the shard's batches (relaxed atomics on a private cache line, so a
+// concurrent Stats() merge reads torn-free values), merged on scrape. This
+// is what keeps the MetricsRegistry -- shared_mutex plus string-keyed map
+// lookup -- entirely off the request path.
 struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> puts{0};
@@ -171,13 +150,13 @@ class KvService {
   StatusOr<std::future<ServeResult>> Submit(ServeRequest request);
 
   // ---- Threaded mode --------------------------------------------------------
-  void Start();  // spawns workers_per_shard OS threads per shard
-  void Stop();   // closes queues, drains and joins every worker
+  void Start();  // spawns one OS thread per shard
+  void Stop();   // closes queues, drains and joins every shard thread
 
   // ---- Deterministic mode ---------------------------------------------------
   // Drains every queue inline (round-robin across shards, rotating the
-  // virtual worker clock per batch). Returns requests executed. Must not
-  // run concurrently with Start().
+  // virtual CPU per batch). Returns requests executed. Must not run
+  // concurrently with Start().
   std::uint64_t Pump();
 
   // Direct cross-shard transaction (also the path queued kMultiPut requests
@@ -203,17 +182,17 @@ class KvService {
   // Folds every shard's trace through the profiler and publishes per-shard
   // resource gauges into metrics(): unit/dispatcher duty cycles and sampled
   // queue/FIFO occupancy, labeled serve_duty{shard="0",resource="..."}.
-  // Also publishes the per-worker counter blocks (PublishMetrics). Call
+  // Also publishes the per-shard counter blocks (PublishMetrics). Call
   // quiesced (after Stop()/Pump()), like Stats().
   void ExportResourceMetrics();
 
-  // Folds the per-worker blocks and service-level atomics into metrics()
+  // Folds the per-shard blocks and service-level atomics into metrics()
   // under the historical names (serve_completed, serve_request_ns, ...).
   // Idempotent: counters are stored, not added, so scraping twice does not
   // double-count. Call quiesced.
   void PublishMetrics();
 
-  // One merge pass over the worker blocks + service atomics; never touches
+  // One merge pass over the shard blocks + service atomics; never touches
   // the registry (no per-counter name lookups).
   ServeStats Stats() const;
 
@@ -222,7 +201,7 @@ class KvService {
   obs::FlightRecorder* flight() { return flight_.get(); }
   // The SLO watchdog (null unless slo_enabled).
   obs::SloWatchdog* watchdog() { return watchdog_.get(); }
-  // Merged sliding-window view across every (shard, worker) window at sim
+  // Merged sliding-window view across every shard's window at sim
   // time `now` (pass Stats().makespan_ns for "end of run"). Safe mid-run.
   obs::WindowStats WindowSnapshot(SimTime now) const;
   // Writes the schema-versioned flight dump (no alert context) to `os`.
@@ -234,37 +213,16 @@ class KvService {
   std::vector<TimelineSource> TimelineSources();
 
  private:
-  struct QueuedRequest {
-    ServeRequest request;
-    std::promise<ServeResult> done;
-    std::uint64_t trace_id = 0;  // allocated at admission
-  };
-
   explicit KvService(const ServeOptions& options);
 
-  WorkerMetrics& worker_metrics(int shard_id, int worker) {
-    return worker_metrics_[static_cast<std::size_t>(shard_id) *
-                               static_cast<std::size_t>(
-                                   options_.workers_per_shard) +
-                           static_cast<std::size_t>(worker)];
-  }
-
-  void WorkerLoop(int shard_id, int worker);
-  // Executes one batch in place (the caller's buffer is reused across
-  // batches): single-shard requests under the shard lock with one doorbell +
-  // one fence, then cross-shard transactions (which take their participants'
-  // locks themselves).
-  void ExecuteBatch(int shard_id, int worker,
-                    std::vector<QueuedRequest>& batch);
+  // Executes one batch in place on virtual CPU `vcpu` (the driver's buffer
+  // is reused across batches): single-shard requests under the shard lock
+  // with one doorbell + one fence, then cross-shard transactions (which take
+  // their participants' locks themselves).
+  void ExecuteBatch(int shard_id, int vcpu, std::vector<QueuedRequest>& batch);
   Status ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
                       SimTime batch_start, WorkerMetrics& wm,
                       obs::SlidingWindow& win);
-
-  obs::SlidingWindow& window(int shard_id, int worker) {
-    return windows_[static_cast<std::size_t>(shard_id) *
-                        static_cast<std::size_t>(options_.workers_per_shard) +
-                    static_cast<std::size_t>(worker)];
-  }
   // Watchdog breach check at a batch boundary. The caller must hold
   // `recorder`'s shard lock (the alert instant lands on that trace).
   void SloCheck(SimTime now, TraceRecorder* recorder);
@@ -272,14 +230,12 @@ class KvService {
   ServeOptions options_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<MpscRing<QueuedRequest>>> queues_;
-  std::vector<std::thread> workers_;
+  BatchDriver driver_;
   std::atomic<std::uint64_t> txn_counter_{0};
-  std::vector<int> pump_rr_;  // per-shard rotating worker clock (Pump mode)
 
-  // Hot-path metrics: per-worker blocks plus service-level atomics for the
-  // paths without a worker identity (admission, direct ExecuteMultiPut,
-  // recovery). The registry below is scrape-time only.
+  // Hot-path metrics: per-shard blocks plus service-level atomics for the
+  // paths outside a batch (admission, direct ExecuteMultiPut, recovery).
+  // The registry below is scrape-time only.
   std::vector<WorkerMetrics> worker_metrics_;
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> rejected_{0};
@@ -291,8 +247,8 @@ class KvService {
 
   // Live observability: request trace ids are allocated at admission from
   // this counter (per-service, 1-based; 0 means untraced everywhere). The
-  // windows vector is sized like worker_metrics_ and never resized, so the
-  // cached pointer set below stays valid for the watchdog's merges.
+  // windows vector (one per shard) is never resized, so the cached pointer
+  // set below stays valid for the watchdog's merges.
   std::atomic<std::uint64_t> trace_counter_{0};
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::vector<obs::SlidingWindow> windows_;

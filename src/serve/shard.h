@@ -11,8 +11,9 @@
 //
 // The volatile key -> slot index is rebuilt from the tags after recovery.
 // A shard is driven by its service under the shard mutex: the Runtime, the
-// heap and the trace recorder are single-threaded objects, so every worker
-// (OS thread or pump iteration) serializes on mu() before touching them.
+// heap and the trace recorder are single-threaded objects, so every caller
+// (the shard's batch thread, a Pump() iteration, or another shard's
+// cross-shard transaction) serializes on mu() before touching them.
 #ifndef SRC_SERVE_SHARD_H_
 #define SRC_SERVE_SHARD_H_
 
@@ -38,7 +39,7 @@ struct ShardOptions {
   std::uint64_t pm_size = 16ull << 20;
   std::uint32_t table_slots = 512;  // KV capacity per shard (power of two)
   std::uint32_t value_size = 64;    // fixed value payload per key
-  int workers = 2;                  // virtual worker threads on this shard
+  int workers = 2;                  // virtual CPUs (batch clocks) on this shard
   // Device geometry for this shard's simulated machine (default = seed).
   hwmodel::HwConfig hw;
 };
@@ -72,8 +73,8 @@ class Shard {
   TraceRecorder& recorder() { return *recorder_; }
   std::mutex& mu() { return mu_; }
 
-  // Virtual-thread ids on this shard's runtime: one clock per worker plus a
-  // dedicated clock for cross-shard transactions and recovery.
+  // Virtual-thread ids on this shard's runtime: one clock per virtual CPU
+  // plus a dedicated clock for cross-shard transactions and recovery.
   ThreadId WorkerTid(int worker) const { return worker; }
   ThreadId TxnTid() const { return options_.workers; }
 

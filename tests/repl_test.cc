@@ -385,6 +385,75 @@ TEST(ReplServiceTest, ThreadedWorkersServeReplicatedWrites) {
   }
 }
 
+// Same pre-filled group queues, `vcpus` virtual CPUs per node: the Pump
+// drain and the threaded drain (one OS thread per group) must agree on every
+// count and on every node's virtual clock. Single-key requests keep each
+// group's traffic inside its own replicas, so only per-group batch order
+// matters, and both modes rotate virtual CPUs in that order.
+void ExpectPumpMatchesThreads(int vcpus) {
+  SCOPED_TRACE("vcpus=" + std::to_string(vcpus));
+  ReplOptions ro = SmallOptions(2, 2);
+  ro.workers_per_shard = vcpus;
+  ro.queue_capacity = 128;
+  auto pumped = ReplicatedKvService::Create(ro);
+  ASSERT_TRUE(pumped.ok()) << pumped.status().ToString();
+  auto threaded = ReplicatedKvService::Create(ro);
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+
+  // Every third request reads a key written earlier in the stream.
+  auto fill = [](ReplicatedKvService& svc,
+                 std::vector<std::future<ServeResult>>& futs) {
+    for (std::uint64_t i = 0; i < 96; ++i) {
+      ServeRequest req;
+      req.kind = i % 3 == 2 ? RequestKind::kGet : RequestKind::kPut;
+      req.key = req.kind == RequestKind::kGet ? i / 2 : i;
+      if (req.kind == RequestKind::kPut) {
+        req.value = Value(i);
+      }
+      auto fut = svc.Submit(std::move(req));
+      ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+      futs.push_back(std::move(*fut));
+    }
+  };
+  std::vector<std::future<ServeResult>> pump_futs;
+  std::vector<std::future<ServeResult>> thr_futs;
+  fill(**pumped, pump_futs);
+  fill(**threaded, thr_futs);
+  EXPECT_EQ((*pumped)->Pump(), pump_futs.size());
+  (*threaded)->Start();
+  for (std::size_t i = 0; i < pump_futs.size(); ++i) {
+    const ServeResult a = pump_futs[i].get();
+    const ServeResult b = thr_futs[i].get();
+    EXPECT_EQ(a.status.code(), b.status.code()) << "request " << i;
+    EXPECT_EQ(a.value, b.value) << "request " << i;
+    EXPECT_EQ(a.latency_ns, b.latency_ns) << "request " << i;
+  }
+  (*threaded)->Stop();
+
+  const ReplStats a = (*pumped)->Stats();
+  const ReplStats b = (*threaded)->Stats();
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.puts, b.puts);
+  EXPECT_EQ(a.gets, b.gets);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.net_messages, b.net_messages);
+  EXPECT_EQ(a.makespan_ns, b.makespan_ns);
+  EXPECT_EQ(a.request_p99_ns, b.request_p99_ns);
+  EXPECT_EQ(a.commit_p99_ns, b.commit_p99_ns);
+  for (int n = 0; n < (*pumped)->num_nodes(); ++n) {
+    EXPECT_EQ((*pumped)->node(n).rt().stats().MaxThreadTime(),
+              (*threaded)->node(n).rt().stats().MaxThreadTime())
+        << "node " << n;
+  }
+  EXPECT_EQ((*threaded)->PpoViolations(), 0u);
+}
+
+TEST(ReplServiceTest, PumpAndThreadsAgreeAcrossVirtualCpuCounts) {
+  for (int vcpus : {1, 2, 4}) {
+    ExpectPumpMatchesThreads(vcpus);
+  }
+}
+
 // ---- Observability ----------------------------------------------------------
 
 TEST(ReplServiceTest, ExportsNodeAndFabricResourceMetrics) {

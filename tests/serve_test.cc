@@ -205,13 +205,16 @@ TEST(KvServiceTest, ThreadedModeServesAndStops) {
   EXPECT_EQ((*svc)->PpoViolations(), 0u);
 }
 
-TEST(KvServiceTest, PipelinedGeometryDeterministicAcrossPumpAndThreads) {
-  // Same pre-filled queues, one worker per shard: the deterministic Pump
-  // drain and the threaded drain must produce identical simulated timings
-  // and identical pipeline stall counts under a pipelined LSQ-bounded
-  // geometry. OS scheduling may interleave shards differently but must not
-  // leak into any virtual-time observable.
+// Same pre-filled queues, `vcpus` virtual CPUs per shard: the deterministic
+// Pump drain and the threaded drain must produce identical simulated timings
+// and identical pipeline stall counts under a pipelined LSQ-bounded geometry.
+// Each shard's batches rotate over its virtual CPUs in ring order in both
+// modes, so OS scheduling may interleave shards differently but must not
+// leak into any virtual-time observable.
+void ExpectPumpMatchesThreads(int vcpus) {
+  SCOPED_TRACE("vcpus=" + std::to_string(vcpus));
   ServeOptions so = SmallOptions(2);
+  so.workers_per_shard = vcpus;
   // One slow unit (0.25 GB/s AXI, 256 B payloads -> ~1 us of DMA per put):
   // execute drains far slower than the CPU posts, the dispatch stage runs
   // ahead, and the 2-deep LSQ actually fills.
@@ -227,34 +230,28 @@ TEST(KvServiceTest, PipelinedGeometryDeterministicAcrossPumpAndThreads) {
   auto threaded = KvService::Create(so);
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
 
+  // Enqueue everything before Pump()/Start() so both drains see the same
+  // full queues (and thus the same batch boundaries).
+  auto fill = [](KvService& svc, std::vector<std::future<ServeResult>>& futs) {
+    for (std::uint64_t key = 0; key < 200; ++key) {
+      ServeRequest req;
+      req.kind = RequestKind::kPut;
+      req.key = key;
+      req.value = Value(key);
+      auto fut = svc.Submit(std::move(req));
+      ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+      futs.push_back(std::move(*fut));
+    }
+  };
   std::vector<std::future<ServeResult>> pump_futs;
-  for (std::uint64_t key = 0; key < 200; ++key) {
-    ServeRequest req;
-    req.kind = RequestKind::kPut;
-    req.key = key;
-    req.value = Value(key);
-    auto fut = (*pumped)->Submit(std::move(req));
-    ASSERT_TRUE(fut.ok()) << fut.status().ToString();
-    pump_futs.push_back(std::move(*fut));
-  }
+  std::vector<std::future<ServeResult>> thr_futs;
+  fill(**pumped, pump_futs);
+  fill(**threaded, thr_futs);
   (*pumped)->Pump();
+  (*threaded)->Start();
   for (auto& fut : pump_futs) {
     EXPECT_TRUE(fut.get().status.ok());
   }
-
-  // Enqueue everything before Start() so the threaded worker sees the same
-  // full queue (and thus the same batch boundaries) as Pump did.
-  std::vector<std::future<ServeResult>> thr_futs;
-  for (std::uint64_t key = 0; key < 200; ++key) {
-    ServeRequest req;
-    req.kind = RequestKind::kPut;
-    req.key = key;
-    req.value = Value(key);
-    auto fut = (*threaded)->Submit(std::move(req));
-    ASSERT_TRUE(fut.ok()) << fut.status().ToString();
-    thr_futs.push_back(std::move(*fut));
-  }
-  (*threaded)->Start();
   for (auto& fut : thr_futs) {
     EXPECT_TRUE(fut.get().status.ok());
   }
@@ -281,6 +278,17 @@ TEST(KvServiceTest, PipelinedGeometryDeterministicAcrossPumpAndThreads) {
     EXPECT_EQ(stalls_a, stalls_b) << "shard " << s;
     EXPECT_EQ(ra.stats().MaxThreadTime(), rb.stats().MaxThreadTime())
         << "shard " << s;
+    for (int v = 0; v < vcpus; ++v) {
+      const ThreadId tid = (*pumped)->shard(s).WorkerTid(v);
+      EXPECT_EQ(ra.Now(tid), rb.Now(tid)) << "shard " << s << " vcpu " << v;
+    }
+  }
+  EXPECT_EQ((*threaded)->PpoViolations(), 0u);
+}
+
+TEST(KvServiceTest, PipelinedGeometryDeterministicAcrossPumpAndThreads) {
+  for (int vcpus : {1, 2, 4}) {
+    ExpectPumpMatchesThreads(vcpus);
   }
 }
 

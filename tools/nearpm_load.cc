@@ -1,7 +1,7 @@
 // nearpm_load: million-op load generator for the sharded KV serving layer.
 //
-// Drives the threaded (Start/Stop) hot path -- lock-free shard rings, real
-// OS workers -- under two canonical load models:
+// Drives the threaded (Start/Stop) hot path -- lock-free shard rings, one
+// OS thread per shard -- under two canonical load models:
 //
 //   * closed loop: N client threads, one outstanding request each; a client
 //     submits, blocks on the completion future, then immediately issues the
@@ -387,7 +387,7 @@ int Run(int argc, char** argv) {
   const flags::Flag table[] = {
       {"--mode", &cli.mode, "closed|open|both", "load models (default both)"},
       {"--shards", &cli.shards, "N", "serving shards (default 4)", 1},
-      {"--workers", &cli.workers, "N", "OS workers per shard (default 2)", 1},
+      {"--workers", &cli.workers, "N", "virtual CPUs per shard (default 2)", 1},
       {"--queue", &cli.queue, "N", "per-shard ring capacity (default 256)"},
       {"--batch", &cli.batch, "N", "requests per doorbell (default 8)"},
       {"--clients", &cli.clients, "N", "closed-loop clients (default 4)", 1},

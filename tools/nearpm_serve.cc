@@ -1,6 +1,6 @@
 // nearpm_serve: threaded smoke driver for the sharded KV serving layer.
 //
-// Spins up the service with real OS worker threads, pushes a deterministic
+// Spins up the service with one OS thread per shard, pushes a deterministic
 // request mix (puts, gets, periodic cross-shard MultiPuts) through the
 // bounded queues, then reports throughput, latency percentiles, queue
 // pressure and the PPO audit. Exit code is nonzero when the service made no
@@ -51,7 +51,7 @@ std::vector<std::uint8_t> ValueFor(std::uint64_t key, std::uint32_t size) {
 }
 
 // Replicated smoke: the same deterministic request mix pushed through the
-// replicated serving tier (src/repl) with OS worker threads. Every write is
+// replicated serving tier (src/repl), one OS thread per group. Every write is
 // a replicated commit, so progress here exercises the fabric, both commit
 // protocols, and the cross-replica retire path end to end.
 int ReplServeMain(const CliOptions& cli) {
@@ -117,7 +117,7 @@ int ReplServeMain(const CliOptions& cli) {
   const std::uint64_t violations = (*svc)->PpoViolations(&report);
   const repl::ReplStats stats = (*svc)->Stats();
 
-  std::printf("repl smoke: %d groups x %d replicas (%s) x %d workers, "
+  std::printf("repl smoke: %d groups x %d replicas (%s) x %d vCPUs, "
               "batch_max=%d, queue=%zu\n",
               cli.shards, cli.replicas, repl::ReplProtocolName(*protocol),
               cli.workers, cli.batch, cli.queue);
@@ -202,7 +202,7 @@ int ServeMain(int argc, char** argv) {
   CliOptions cli;
   const flags::Flag table[] = {
       {"--shards", &cli.shards, "N", "serving shards (default 4)", 1},
-      {"--workers", &cli.workers, "N", "OS workers per shard (default 4)", 1},
+      {"--workers", &cli.workers, "N", "virtual CPUs per shard (default 4)", 1},
       {"--requests", &cli.requests, "N", "requests to submit (default 2000)"},
       {"--multiput-every", &cli.multiput_every, "N",
        "Nth request is a cross-shard MultiPut (0 off; default 50)"},
@@ -256,7 +256,7 @@ int ServeMain(int argc, char** argv) {
       req.value = ValueFor(i, so.value_size);
     }
     // Backpressure loop: a full queue rejects immediately; yield to the
-    // workers and retry a few times before dropping the request.
+    // shard threads and retry a few times before dropping the request.
     bool admitted = false;
     for (int attempt = 0; attempt < 1000 && !admitted; ++attempt) {
       ServeRequest copy = req;
@@ -279,7 +279,7 @@ int ServeMain(int argc, char** argv) {
   const std::uint64_t violations = (*svc)->PpoViolations(&report);
   const ServeStats stats = (*svc)->Stats();
 
-  std::printf("serve smoke: %d shards x %d workers, batch_max=%d, queue=%zu\n",
+  std::printf("serve smoke: %d shards x %d vCPUs, batch_max=%d, queue=%zu\n",
               cli.shards, cli.workers, cli.batch, cli.queue);
   std::printf("  submitted:  %" PRIu64 " (%" PRIu64 " rejected by admission)\n",
               cli.requests, rejected);
